@@ -17,20 +17,24 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
-try:
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is an install requirement
-    _scipy_stats = None
-
 from .workloads import WEIGHTS, Weight, expected_total, generate_lines
 from .native import NATIVE_VARIANTS
 from .embedded import EMBEDDED_VARIANTS, EmbeddedSuite
 
 
 def t_critical(confidence: float, dof: int) -> float:
-    """Two-sided Student-t critical value (scipy, with a table fallback)."""
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+    """Two-sided Student-t critical value (scipy, with a table fallback).
+
+    scipy is imported here, not at module level: ``repro.bench`` is on
+    the import path of every pipe body shipped from this package, and
+    pulling scipy into a fresh server costs over a second.
+    """
+    try:
+        from scipy import stats
+    except ImportError:  # pragma: no cover - scipy is an install requirement
+        pass
+    else:
+        return float(stats.t.ppf(0.5 + confidence / 2.0, dof))
     # Conservative fallback: 99% two-sided values for small dof.
     table = {1: 63.66, 2: 9.92, 3: 5.84, 4: 4.60, 5: 4.03, 10: 3.17, 19: 2.86}
     best = max(k for k in table if k <= max(dof, 1))

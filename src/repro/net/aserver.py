@@ -29,8 +29,10 @@ unpickler that refuses every global lookup.
 The cooperative caveat of :mod:`repro.coexpr.aio` applies: one
 ``activate()`` runs to completion on the loop, so the tier multiplexes
 *between* results.  Streams of many small results interleave fairly
-(the sender yields per item); a single multi-second activation would
-stall every session — host such bodies on the threaded server.
+(the sender yields once per millisecond of activations, or after
+every item when one activation takes that long); a single
+multi-second activation would stall every session — host such bodies
+on the threaded server.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ from .server import (
 #: How long the loop thread's graceful drain waits for sessions to
 #: flush + close before cancelling their tasks outright.
 _DRAIN_TIMEOUT = 5.0
+#: A streaming session yields the loop once this many seconds of
+#: activations have run since its last yield: fast bodies amortize the
+#: loop round trip over many items, while a slow activation still
+#: yields after every item — so beats, credit, cancel and linger ticks
+#: wait at most this long plus one activation.
+_YIELD_SLICE = 0.001
 
 
 class _AsyncSession:
@@ -390,6 +398,7 @@ class _AsyncSession:
         return CoExpression(factory, lambda: args, name=self.request_name)
 
     async def _stream(self, coexpr: CoExpression) -> None:
+        last_yield = time.monotonic()
         try:
             while not self._stopping():
                 deadline = self._deadline
@@ -412,7 +421,9 @@ class _AsyncSession:
                 if value is FAIL:
                     break
                 await self._append(value)
-                await asyncio.sleep(0)  # per-item fairness across sessions
+                if time.monotonic() - last_yield >= _YIELD_SLICE:
+                    await asyncio.sleep(0)  # time-sliced fairness
+                    last_yield = time.monotonic()
             await self._flush(block=True)
             if not self._killed:
                 await self._send((WIRE_CLOSE,))

@@ -18,10 +18,13 @@ draining any data received first — the data-before-error invariant).
 
 Flow control is credit-based: the client grants credit equal to its
 channel capacity up front (None = unlimited for an unbounded channel)
-and replenishes a slice's worth *after* ``put_many`` has delivered it —
-so the server never has more than roughly two windows in flight and a
-slow consumer throttles the remote producer the same way it throttles
-a local worker blocked on a full channel.
+and gives credit back only for items ``put_many`` has delivered — so
+the server's credit plus the data in flight never exceed one window,
+and a slow consumer throttles the remote producer the same way it
+throttles a local worker blocked on a full channel.  Grants are
+coalesced: the pump owes the server the delivered count and pays it
+once half a window is owed, or before any receive that could block —
+so whenever the pump waits, the server holds every credit it can get.
 
 Degradation mirrors :mod:`repro.coexpr.proc`: a body that cannot leave
 the process (:func:`~repro.coexpr.proc.body_portability_reason`), a
@@ -421,6 +424,17 @@ class RemoteWorker:
             if self.pool is not None:
                 self.pool.note_healthy(self.address)
 
+    def _grant(self, amount: int) -> bool:
+        """Give *amount* delivered items' credit back to the server;
+        False (with the loss reported) when the transport is gone."""
+        try:
+            self.framer.send((WIRE_CREDIT, amount))
+        except (OSError, EOFError) as error:
+            if not self.owner._cancelled:
+                self._mark_lost(self.drained or f"transport error: {error!r}")
+            return False
+        return True
+
     def pump(self) -> None:
         """Forward wire envelopes into the owner's channel; watch liveness.
 
@@ -433,11 +447,21 @@ class RemoteWorker:
         out = owner.out
         deadline = time.monotonic() + self.heartbeat_timeout
         closed = False
+        # Coalesced credit: items delivered but not yet granted back.
+        # Paid at half a window, and always before a receive that could
+        # block — the client cannot see a server's max_credit clamp, so
+        # a threshold alone could leave both sides waiting.
+        owed = 0
+        threshold = max(1, self.window // 2) if self.window is not None else 0
         _register_live(self)
         try:
             while not closed:
                 if owner._cancelled:
                     return
+                if owed and not self.framer.buffered():
+                    if not self._grant(owed):
+                        return
+                    owed = 0
                 try:
                     envelope = self.framer.recv()
                 except (socket.timeout, TimeoutError):
@@ -479,18 +503,12 @@ class RemoteWorker:
                         except InjectedDisconnect:
                             self._mark_lost("injected connection drop")
                             return
-                    if self.window is not None and slice_:
-                        try:
-                            # Replenish only after delivery: bounds what
-                            # the server may have in flight to ~2 windows.
-                            self.framer.send((WIRE_CREDIT, len(slice_)))
-                        except (OSError, EOFError) as error:
-                            if owner._cancelled:
+                    if self.window is not None:
+                        owed += len(slice_)
+                        if owed >= threshold:
+                            if not self._grant(owed):
                                 return
-                            self._mark_lost(
-                                self.drained or f"transport error: {error!r}"
-                            )
-                            return
+                            owed = 0
                 elif kind == WIRE_ERROR:
                     self._mark_healthy()  # the *server* worked; the body crashed
                     owner._errored = True

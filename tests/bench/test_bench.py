@@ -1,6 +1,9 @@
 """Benchmark infrastructure: workloads, suites, measurement harness."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +76,26 @@ class TestWorkloads:
     def test_weights_registry(self):
         assert set(WEIGHTS) == {"light", "heavy"}
         assert WEIGHTS["light"] is LIGHT and WEIGHTS["heavy"] is HEAVY
+
+    def test_workloads_import_leaves_scipy_unloaded(self):
+        # Pipe bodies shipped from this module are imported by fresh
+        # servers; scipy would cost them over a second of start-up.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.bench.workloads; "
+                "print('scipy' in sys.modules)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "False"
 
 
 class TestNativeSuite:

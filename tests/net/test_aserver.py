@@ -12,11 +12,13 @@ is bounded by a poll slice, not a heartbeat timeout.
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -24,7 +26,14 @@ import pytest
 from repro.coexpr.patterns import source_pipe
 from repro.coexpr.scheduler import PipeScheduler, default_scheduler
 from repro.coexpr.supervision import NO_BACKOFF, supervise
-from repro.coexpr.wire import _HEADER, WIRE_CALL, WIRE_CREDIT, SocketFramer
+from repro.coexpr.wire import (
+    _HEADER,
+    WIRE_CALL,
+    WIRE_CANCEL,
+    WIRE_CREDIT,
+    WIRE_DATA,
+    SocketFramer,
+)
 from repro.errors import (
     PipeConnectionLost,
     PipeError,
@@ -56,6 +65,25 @@ def ticker(delay=0.02):
 def crasher(n):
     yield from range(n)
     raise ValueError("factory crashed")
+
+
+#: Activations completed by the running :func:`spinner` body.
+PROGRESS = {"spun": 0}
+
+
+def spinner(n, spin):
+    """Each activation burns *spin* seconds of CPU without sleeping, so
+    the loop only runs other tasks when the sender yields it."""
+    for i in range(n):
+        stop = time.perf_counter() + spin
+        while time.perf_counter() < stop:
+            pass
+        PROGRESS["spun"] = i + 1
+        yield i
+
+
+def endless():
+    return itertools.count()
 
 
 @pytest.fixture
@@ -235,16 +263,6 @@ class TestOverload:
             ).start()
             assert list(piped.iterate()) == list(range(100))
 
-    def test_batch_clamped_to_server_cap(self):
-        with AsyncGeneratorServer(max_batch=3) as server:
-            piped = source_pipe(
-                range(40),
-                backend="remote",
-                remote_address=server.address,
-                batch=32,
-            ).start()
-            assert list(piped.iterate()) == list(range(40))
-
 
 class TestShutdownAndChaos:
     def test_graceful_shutdown_closes_open_streams(self, server):
@@ -350,6 +368,75 @@ class TestMonitorEvents:
         assert EventKind.ASYNC_SESSION in kinds  # substrate-aware detail
         stats = tracer.net_stats()
         assert stats["pipe:counter"]["sessions"] == 1
+
+
+class TestTimeSlice:
+    """The sender yields the loop per millisecond of activations: slow
+    activations still yield after every item, fast ones are batched."""
+
+    def test_slow_activations_keep_beats_and_sessions_flowing(self, server):
+        # A 64-item batch takes ~640 ms, longer than the client's 0.5 s
+        # watchdog: only beats sent between activations keep it alive.
+        server.register("spinner", spinner)
+        PROGRESS["spun"] = 0
+        total = 128
+        slow = RemotePipe(
+            server.address,
+            "spinner",
+            args=(total, 0.01),
+            batch=64,
+            heartbeat_interval=0.05,
+            heartbeat_timeout=0.5,
+        ).start()
+        limit = time.monotonic() + 5.0
+        while PROGRESS["spun"] == 0 and time.monotonic() < limit:
+            time.sleep(0.005)
+        fast = RemotePipe(server.address, "counter", args=(200,))
+        assert list(fast.iterate()) == list(range(200))
+        assert PROGRESS["spun"] < total  # finished while slow was mid-stream
+        assert list(slow.iterate()) == list(range(total))
+
+    def test_cancel_stops_an_endless_fast_body_within_a_heartbeat(
+        self, server
+    ):
+        # Unlimited credit and a client that keeps reading with the
+        # socket open: the sender never parks on credit or a full
+        # socket, so WIRE_CANCEL only reaches the session's reader
+        # through the time-sliced yield.
+        server.register("endless", endless)
+        sock = socket.create_connection(server.address)
+        framer = SocketFramer(sock)
+        framer.send(
+            (WIRE_CALL, {"name": "endless", "heartbeat_interval": 0.5})
+        )
+        framer.send((WIRE_CREDIT, None))
+        assert framer.recv() == (WIRE_DATA, [0])
+        assert wait_active(server, 1) == 1
+        stop = threading.Event()
+
+        def keep_reading():
+            sock.settimeout(0.05)
+            while not stop.is_set():
+                try:
+                    framer.recv()
+                except (socket.timeout, TimeoutError):
+                    continue
+                except (EOFError, OSError):
+                    return
+
+        reader = threading.Thread(target=keep_reading, daemon=True)
+        reader.start()
+        try:
+            started = time.monotonic()
+            framer.send((WIRE_CANCEL,))
+            assert wait_active(server, 0) == 0
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            reader.join(5.0)
+            framer.close()
+        assert not reader.is_alive()
+        assert elapsed < 0.5, f"cancel took {elapsed:.2f}s"
 
 
 class TestEagerDrain:

@@ -13,16 +13,37 @@ without changing the stream the client observes.
 
 from __future__ import annotations
 
+import pickle
+import socket
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.coexpr.patterns import source_pipe
 from repro.coexpr.supervision import NO_BACKOFF, supervise
+from repro.coexpr.wire import (
+    _HEADER,
+    WIRE_BEAT,
+    WIRE_CLOSE,
+    WIRE_CREDIT,
+    WIRE_DATA,
+    SocketFramer,
+)
 from repro.errors import PipeServerBusy
 from repro.monitor import EventKind, Tracer
-from repro.net import CircuitBreaker, GeneratorServer, RemotePipe, breaker_for
+from repro.net import (
+    AsyncGeneratorServer,
+    CircuitBreaker,
+    GeneratorServer,
+    RemotePipe,
+    breaker_for,
+)
 from repro.net.client import _BREAKER_THRESHOLD
+
+SERVERS = [GeneratorServer, AsyncGeneratorServer]
+SERVER_IDS = ["thread", "async"]
 
 
 def occupy(server, n=100_000):
@@ -105,8 +126,12 @@ class TestQuotas:
             ).start()
             assert list(piped.iterate()) == list(range(100))
 
-    def test_bounded_credit_is_clamped_to_quota(self):
-        with GeneratorServer(max_credit=2) as server:
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_bounded_credit_is_clamped_to_quota(self, server_cls):
+        # The client cannot see the clamp: it must still pay owed credit
+        # before every blocking receive, or a 2-item quota against a
+        # 64-item window (grant threshold 32) deadlocks.
+        with server_cls(max_credit=2) as server:
             piped = source_pipe(
                 range(50),
                 backend="remote",
@@ -115,8 +140,9 @@ class TestQuotas:
             ).start()
             assert list(piped.iterate()) == list(range(50))
 
-    def test_batch_clamped_to_server_cap(self):
-        with GeneratorServer(max_batch=3) as server:
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_batch_clamped_to_server_cap(self, server_cls):
+        with server_cls(max_batch=3) as server:
             piped = source_pipe(
                 range(40),
                 backend="remote",
@@ -124,6 +150,112 @@ class TestQuotas:
                 batch=32,
             ).start()
             assert list(piped.iterate()) == list(range(40))
+
+
+def slow_range(n, delay):
+    for i in range(n):
+        time.sleep(delay)
+        yield i
+
+
+class TestCreditCoalescing:
+    """The client pays credit back in coalesced grants, not per slice."""
+
+    @pytest.fixture
+    def credit_sends(self, monkeypatch):
+        """Every ``WIRE_CREDIT`` envelope sent through a framer."""
+        sent = []
+        send = SocketFramer.send
+
+        def counting_send(framer, envelope):
+            if envelope[0] == WIRE_CREDIT:
+                sent.append(envelope)
+            send(framer, envelope)
+
+        monkeypatch.setattr(SocketFramer, "send", counting_send)
+        return sent
+
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_per_item_stream_sends_few_credit_envelopes(
+        self, server_cls, credit_sends
+    ):
+        # 960 single-item slices used to cost 961 grants each (the
+        # initial window plus one per slice).  Half-window grants plus
+        # the pay-before-blocking rule leave a grant per time the pump
+        # catches up with the server: a timing quantity, so the pin
+        # bounds three streams together at 64 grants per stream.
+        if server_cls is AsyncGeneratorServer and sys.flags.dev_mode:
+            pytest.skip(
+                "asyncio debug mode makes the loop slower than the pump, "
+                "which then catches up (and pays) after nearly every item"
+            )
+        with server_cls() as server:
+            for _ in range(3):
+                piped = source_pipe(
+                    range(960),
+                    backend="remote",
+                    remote_address=server.address,
+                    capacity=1024,
+                    batch=1,
+                ).start()
+                assert list(piped.iterate()) == list(range(960))
+        assert len(credit_sends) <= 3 * 64
+
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_owed_credit_paid_behind_interleaved_beats(self, server_cls):
+        # A one-item quota with beats between the items: the last data
+        # frame is often followed by a buffered beat, so credit owed by
+        # that frame must still be paid before the pump blocks again.
+        with server_cls(max_credit=1) as server:
+            server.register("slow", slow_range)
+            pipe = RemotePipe(
+                server.address,
+                "slow",
+                args=(40, 0.002),
+                capacity=64,
+                heartbeat_interval=0.001,
+                heartbeat_timeout=5.0,
+            )
+            assert list(pipe.iterate()) == list(range(40))
+
+    def test_buffered_beat_behind_data_does_not_strand_credit(self):
+        # Deterministic form of the trap: a peer that writes each item
+        # and a beat in one segment, then waits for that item's credit.
+        # The beat is already buffered when the data frame is handled,
+        # so only the pay-before-blocking rule releases the credit.
+        listener = socket.create_server(("127.0.0.1", 0))
+        grants = []
+
+        def frame(envelope):
+            payload = pickle.dumps(envelope)
+            return _HEADER.pack(len(payload)) + payload
+
+        def serve():
+            conn, _ = listener.accept()
+            framer = SocketFramer(conn)
+            framer.recv()  # the call request
+            framer.recv()  # the initial window
+            for item in range(3):
+                conn.sendall(frame((WIRE_DATA, [item])) + frame((WIRE_BEAT, 0)))
+                grants.append(framer.recv())
+            framer.send((WIRE_CLOSE,))
+            framer.close()
+
+        peer = threading.Thread(target=serve, daemon=True)
+        peer.start()
+        try:
+            pipe = RemotePipe(
+                listener.getsockname(),
+                "anything",
+                capacity=64,
+                heartbeat_timeout=5.0,
+            )
+            assert list(pipe.iterate()) == [0, 1, 2]
+        finally:
+            peer.join(5.0)
+            listener.close()
+        assert not peer.is_alive()
+        assert grants == [(WIRE_CREDIT, 1)] * 3
 
 
 class TestCircuitBreaker:
