@@ -10,9 +10,11 @@ definition of that vocabulary plus the two codecs every transport needs:
 * **error encoding** — a producer exception as a transportable payload,
   preserving the ``__cause__`` chain and the traceback text (a remote
   crash should read like a local one);
-* **socket framing** — length-prefixed pickle frames over a stream
-  socket, timeout-safe (a read that times out mid-frame keeps its
-  partial bytes and resumes cleanly).
+* **socket framing** — length-prefixed pickle frames
+  (:func:`encode_frame` / :func:`decode_frame`, shared by every socket
+  substrate) and a blocking-socket reader over them, timeout-safe (a
+  read that times out mid-frame keeps its partial bytes and resumes
+  cleanly).
 
 Envelope ordering is the transport invariant every tier pins with tests:
 data slices arrive in production order, an error never overtakes the
@@ -181,7 +183,7 @@ class _RestrictedUnpickler(pickle.Unpickler):
     Primitive values (numbers, strings, bytes, bools, None) and
     containers of them decode without ``find_class``; anything that
     needs a class or function — the code-execution surface of pickle —
-    raises, which :meth:`SocketFramer.recv` turns into a
+    raises, which :func:`decode_frame` turns into a
     :class:`FrameError`.
     """
 
@@ -194,6 +196,39 @@ class _RestrictedUnpickler(pickle.Unpickler):
 
 def _restricted_loads(frame: bytes) -> Any:
     return _RestrictedUnpickler(io.BytesIO(frame)).load()
+
+
+def encode_frame(envelope: tuple) -> bytes:
+    """One envelope as a length-prefixed frame, ready to write."""
+    payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(payload)) + payload
+
+
+def _frame_length(header: bytes) -> int:
+    """The body length a frame header announces (bounded by
+    :data:`MAX_FRAME`)."""
+    (need,) = _HEADER.unpack(header)
+    if need > MAX_FRAME:
+        raise FrameError(f"oversized frame ({need} bytes)")
+    return need
+
+
+def decode_frame(frame: bytes, trusted: bool) -> tuple:
+    """One frame body back into its envelope.
+
+    ``trusted=False`` decodes through the restricted unpickler (see the
+    module docstring's trust model).  A body that does not unpickle, or
+    unpickles to anything but a non-empty tuple, raises
+    :class:`FrameError`.
+    """
+    loads = pickle.loads if trusted else _restricted_loads
+    try:
+        envelope = loads(frame)
+    except Exception as error:  # noqa: BLE001 - corrupt frame
+        raise FrameError(f"undecodable frame: {error!r}") from error
+    if not isinstance(envelope, tuple) or not envelope:
+        raise FrameError(f"malformed envelope: {envelope!r}")
+    return envelope
 
 
 class SocketFramer:
@@ -223,9 +258,9 @@ class SocketFramer:
 
     def send(self, envelope: tuple) -> None:
         """Frame and ship one envelope (blocking, thread-safe)."""
-        payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        frame = encode_frame(envelope)
         with self._send_lock:
-            self.sock.sendall(_HEADER.pack(len(payload)) + payload)
+            self.sock.sendall(frame)
 
     def buffered(self) -> bool:
         """True when a complete frame is already in the receive buffer.
@@ -258,23 +293,14 @@ class SocketFramer:
     def _extract(self) -> tuple | None:
         """Pop one complete envelope out of the buffer (None = partial)."""
         if self._need is None and len(self._buf) >= _HEADER.size:
-            (self._need,) = _HEADER.unpack(self._buf[: _HEADER.size])
+            self._need = _frame_length(self._buf[: _HEADER.size])
             del self._buf[: _HEADER.size]
-            if self._need > MAX_FRAME:
-                raise FrameError(f"oversized frame ({self._need} bytes)")
         if self._need is None or len(self._buf) < self._need:
             return None
         frame = bytes(self._buf[: self._need])
         del self._buf[: self._need]
         self._need = None
-        loads = pickle.loads if self.trusted else _restricted_loads
-        try:
-            envelope = loads(frame)
-        except Exception as error:  # noqa: BLE001 - corrupt frame
-            raise FrameError(f"undecodable frame: {error!r}") from error
-        if not isinstance(envelope, tuple) or not envelope:
-            raise FrameError(f"malformed envelope: {envelope!r}")
-        return envelope
+        return decode_frame(frame, self.trusted)
 
     def _pull(self) -> None:
         """One ``recv`` call into the buffer; EOF raised as usual."""

@@ -13,10 +13,14 @@ threads:
   channel: a slow client throttles the producer instead of ballooning
   the socket buffer);
 * the **reader** consumes the control channel — credit grants and
-  cancellation — and doubles as the *beater*: its receive timeout is
-  the heartbeat interval, so exactly when the connection has been idle
-  that long it sends a ``WIRE_BEAT`` (and flushes any batch older than
-  the session's linger bound).
+  cancellation — and doubles as the *beater*: each receive waits at
+  most one heartbeat interval, and when that passes without a whole
+  frame it sends a ``WIRE_BEAT`` (and flushes any batch older than the
+  session's linger bound).
+
+The rules themselves, and the flows that run them, are written once in
+:class:`_SessionRules`: :class:`Session` is their threaded I/O driver,
+:mod:`repro.net.aserver` their event-loop driver.
 
 Stream termination follows the channel contract end to end: data
 slices in production order, a crash flushed *after* the data produced
@@ -34,7 +38,10 @@ SIGTERM/SIGINT for the ``junicon-serve`` entry point.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import itertools
+import math
 import pickle
 import select
 import socket
@@ -88,14 +95,49 @@ def _is_loopback(host: str) -> bool:
     return host in ("localhost", "::1") or host.startswith("127.")
 
 
-class Session:
-    """One client connection: a body, its sender, and its reader."""
+#: What a send or receive raises once the peer is gone (the event
+#: loop's ConnectionError and IncompleteReadError are subclasses).
+_GONE = (OSError, EOFError, FrameError)
+#: What the request read raises when the client left before asking.
+_VANISHED = _GONE + (TimeoutError, asyncio.TimeoutError)
 
-    _ids = itertools.count(1)
+
+def _run_sync(flow: Any) -> Any:
+    """Run a flow whose awaits never suspend to completion; its result.
+
+    The threaded driver's primitives block instead of suspending, so a
+    shared flow finishes within its first step.
+    """
+    try:
+        flow.send(None)
+    except StopIteration as done:
+        return done.value
+    flow.close()
+    raise RuntimeError("a threaded session flow tried to suspend")
+
+
+def _is_number(value: Any) -> bool:
+    """True for an int or a finite float (a bool is not a number here)."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+class _SessionRules:
+    """The session rules both server substrates share.
+
+    Everything here is substrate-neutral: request validation, credit
+    arithmetic, slicing the buffer under credit, the session deadline,
+    the control-channel replies, the reader's envelope dispatch and
+    liveness bounds, and the flows that run them (request → body →
+    stream → terminator, the control loop, the reader).
+    :class:`Session` (threads) and
+    :class:`~repro.net.aserver._AsyncSession` (event-loop tasks) are I/O
+    drivers over it: each supplies its own locking or wakeups around
+    these rules, the I/O primitives the flows await, and ``grant`` and
+    ``kill``, which the dispatch calls.
+    """
 
     __slots__ = (
         "server",
-        "framer",
         "peer",
         "name",
         "request_name",
@@ -105,40 +147,34 @@ class Session:
         "coexpr",
         "handle",
         "reader_handle",
-        "_cond",
-        "_order",
+        "_guard",
         "_credit",
         "_greedy",
         "_deadline",
         "_buffer",
         "_buf_oldest",
+        "_stall_at",
         "_killed",
         "_cancelled",
         "_finished",
+        "_reader_done",
         "_torn",
     )
 
-    def __init__(self, server: "GeneratorServer", sock: Any, peer: Any) -> None:
+    def __init__(self, server: "GeneratorServer", peer: Any, name: str) -> None:
         self.server = server
-        # A server that does not execute client code must not unpickle
-        # arbitrary client objects either: without allow_spawn, frames
-        # decode through the restricted unpickler (primitives only).
-        self.framer = SocketFramer(sock, trusted=server.allow_spawn)
         self.peer = peer
-        self.name = f"net-session-{next(self._ids)}"
+        self.name = name
         self.request_name = ""
         self.batch = 1
         self.max_linger: float | None = None
         self.heartbeat_interval = server.heartbeat_interval
         self.coexpr: CoExpression | None = None
-        self.handle: Any = None         # sender (main) scheduler handle
-        self.reader_handle: Any = None  # control-channel scheduler handle
-        self._cond = threading.Condition()
-        #: Serializes the pop-buffer/send-WIRE_DATA pair across the two
-        #: flushing threads (sender and the reader's linger tick) —
-        #: separate from ``_cond`` so credit grants still land while a
-        #: sendall is throttled by the socket.
-        self._order = threading.Lock()
+        self.handle: Any = None  # the sender: a scheduler handle or a task
+        self.reader_handle: Any = None  # the reader, likewise
+        #: Serializes the teardown decisions between the sender and the
+        #: reader — a no-op unless the driver runs them on two threads.
+        self._guard: Any = contextlib.nullcontext()
         #: Items the client has granted (None = unlimited, its channel is
         #: unbounded).  Starts at zero: nothing is sent before the first
         #: grant, which the client ships right behind its request.
@@ -151,10 +187,381 @@ class Session:
         self._deadline: Deadline | None = None
         self._buffer: list = []
         self._buf_oldest = 0.0
+        #: When a half-received frame's stall bound runs out (None = no
+        #: frame is partial).
+        self._stall_at: float | None = None
         self._killed = False
         self._cancelled = False
         self._finished = False
+        self._reader_done = False
         self._torn = False
+
+    def _stopping(self) -> bool:
+        return self._killed or self._cancelled
+
+    # -- request ---------------------------------------------------------------
+
+    def _build_body(self, first: tuple) -> CoExpression:
+        """Validate the request envelope and build its body.
+
+        Every field is client input: a malformed one is a
+        :class:`PipeError` the driver reports as ``WIRE_ERROR`` then
+        ``WIRE_CLOSE``, never a value a later tick trips over.
+        """
+        kind, *payload = first
+        if kind not in (WIRE_SPAWN, WIRE_CALL) or not payload:
+            raise PipeError(f"expected a spawn/call request, got {kind!r}")
+        request = payload[0]
+        self.request_name = request.get("name") or kind
+        batch = request.get("batch", 1)
+        if type(batch) is not int or batch < 1:
+            raise PipeError(f"request batch must be an int >= 1, got {batch!r}")
+        linger = request.get("max_linger")
+        if linger is not None and not (_is_number(linger) and linger >= 0):
+            raise PipeError(
+                f"request max_linger must be None or a finite number >= 0, "
+                f"got {linger!r}"
+            )
+        interval = request.get("heartbeat_interval")
+        if interval is not None and not (_is_number(interval) and interval > 0):
+            raise PipeError(
+                f"request heartbeat_interval must be None or a finite "
+                f"number > 0, got {interval!r}"
+            )
+        if self.server.max_batch is not None:
+            # The coalescing buffer holds up to one batch before the
+            # sender blocks on credit, so this caps per-session buffered
+            # items no matter what slice size the client asks for.
+            batch = min(batch, self.server.max_batch)
+        self.batch = batch
+        self.max_linger = linger
+        if interval is not None:
+            self.heartbeat_interval = float(interval)
+        if kind == WIRE_SPAWN:
+            if not self.server.allow_spawn:
+                raise PipeError(
+                    f"server {self.server.name!r} does not accept spawn "
+                    "requests (allow_spawn=False); use a registered factory"
+                )
+            factory, env = pickle.loads(request["body"])
+            return CoExpression(factory, lambda: env, name=self.request_name)
+        factory = self.server._factory(request["name"])
+        args = tuple(request.get("args") or ())
+        return CoExpression(factory, lambda: args, name=self.request_name)
+
+    # -- credit ----------------------------------------------------------------
+
+    def _apply_grant(self, amount: int | None) -> None:
+        """The credit arithmetic of one ``WIRE_CREDIT`` (None = unlimited).
+
+        A server ``max_credit`` quota caps outstanding credit here, at
+        the grant path — the one place every credit enters.  Bounded
+        grants accumulate only up to the quota.  An *unlimited* grant
+        (the client's channel is unbounded, so it will never send
+        another credit envelope) becomes quota-sized **greedy** credit
+        instead: :meth:`_refill` self-replenishes it, so the stream
+        proceeds in quota-sized slices rather than wedging on a
+        replenishment that cannot come.
+        """
+        quota = self.server.max_credit
+        if amount is None:
+            if quota is None:
+                self._credit = None
+            else:
+                self._greedy = True
+                self._credit = quota
+        elif self._credit is not None:
+            self._credit += amount
+            if quota is not None and self._credit > quota:
+                self._credit = quota
+
+    def _refill(self) -> bool:
+        """Replenish greedy credit; False when only the client can."""
+        if self._greedy:
+            self._credit = self.server.max_credit
+            return True
+        return False
+
+    def _take(self) -> list | None:
+        """Pop the slice of the buffer the current credit covers and
+        charge it (None = no credit)."""
+        credit = self._credit
+        if credit == 0:
+            return None
+        take = len(self._buffer) if credit is None else min(credit, len(self._buffer))
+        slice_, self._buffer = self._buffer[:take], self._buffer[take:]
+        if credit is not None:
+            self._credit = credit - take
+        return slice_
+
+    # -- sender ----------------------------------------------------------------
+
+    def _check_deadline(self, deadline: Deadline) -> None:
+        """Raise the session-deadline crash once *deadline* has expired.
+
+        A reported crash, not a kill: the driver's failure path flushes
+        buffered data first, so the client still receives everything
+        produced within budget.
+        """
+        if not deadline.expired():
+            return
+        if lifecycle_enabled():
+            emit_lifecycle(
+                Event(
+                    EventKind.DEADLINE_EXPIRED,
+                    f"pipe:{self.request_name}",
+                    0,
+                    {"where": "session", "remaining": 0.0},
+                )
+            )
+        raise PipeDeadlineExceeded(
+            f"session {self.request_name!r}: deadline exceeded (session)",
+            where="session",
+        )
+
+    def _control_reply(self, envelope: tuple) -> tuple | None:
+        """The answer to one control-session envelope (``WIRE_PING`` /
+        ``WIRE_PEERS``); None for anything else — a protocol violation
+        that drops the connection."""
+        kind = envelope[0]
+        arg = envelope[1] if len(envelope) > 1 else None
+        if kind == WIRE_PING:
+            return (WIRE_PONG, arg)
+        if kind == WIRE_PEERS:
+            if arg:
+                self.server._merge_peers(arg)
+            return (WIRE_PEERS, self.server.known_peers())
+        return None
+
+    # -- reader ----------------------------------------------------------------
+
+    def _dispatch(self, envelope: tuple) -> bool:
+        """Apply one control-channel envelope; True when the reader
+        must stop (the session was cancelled or killed)."""
+        self._stall_at = None  # a whole frame arrived
+        kind = envelope[0]
+        if kind == WIRE_CREDIT:
+            amount = envelope[1] if len(envelope) > 1 else None
+            if amount is None or (type(amount) is int and amount >= 0):
+                self.grant(amount)
+                return False
+            self.kill()  # a credit no window can hold: protocol violation
+            return True
+        if kind == WIRE_DEADLINE:
+            # Budget, never a timestamp: re-anchor against our own
+            # monotonic clock (see repro.coexpr.deadline).
+            budget = envelope[1] if len(envelope) > 1 else 0.0
+            try:
+                self._deadline = Deadline(float(budget))
+            except (TypeError, ValueError):
+                pass  # malformed budget: ignore, don't kill the stream
+            return False
+        if kind == WIRE_CANCEL:
+            self.kill()
+            return True
+        return False  # anything else (a stray beat) is ignored
+
+    def _stalled(self, partial: bool) -> bool:
+        """The mid-frame stall bound: True once a frame has stayed
+        *partial* for ``stall_intervals`` heartbeat intervals — a
+        wedged client must not pin a session and its socket forever."""
+        if not partial:
+            self._stall_at = None
+            return False
+        now = time.monotonic()
+        if self._stall_at is None:
+            self._stall_at = (
+                now + self.server.stall_intervals * self.heartbeat_interval
+            )
+            return False
+        return now >= self._stall_at
+
+    def _linger_due(self) -> bool:
+        """True when a buffered batch has out-lingered its bound."""
+        return (
+            self.max_linger is not None
+            and bool(self._buffer)
+            and time.monotonic() - self._buf_oldest >= self.max_linger
+        )
+
+    # -- flows -----------------------------------------------------------------
+    #
+    # One copy of the flows that interleave these rules with I/O.  Each
+    # driver supplies the awaited primitives (_recv_request, _recv_step,
+    # _send, _flush, _stream) and _partial, _start_reader, _half_close
+    # and _close.  The event-loop driver's primitives suspend; the threaded
+    # driver's block instead, so its flows never suspend and run to
+    # completion under _run_sync.
+
+    async def _serve(self) -> None:
+        """The session's main flow: request → body → stream → terminator.
+
+        A connection whose first envelope is a control kind
+        (``WIRE_PING`` / ``WIRE_PEERS``) never builds a body: it
+        becomes a control session — the membership tier's probe and
+        gossip channel — served until the peer hangs up.
+        """
+        try:
+            try:
+                envelope = await self._recv_request()
+            except _VANISHED:
+                return  # client vanished before asking for anything
+            except Exception as error:  # noqa: BLE001 - reported to the client
+                await self._send_failure(error)
+                return
+            if envelope[0] in (WIRE_PING, WIRE_PEERS):
+                self.request_name = "control"
+                await self._run_control(envelope)
+                return
+            try:
+                coexpr = self._build_body(envelope)
+            except Exception as error:  # noqa: BLE001 - reported to the client
+                await self._send_failure(error)
+                return
+            self.coexpr = coexpr
+            self.server._note_session(self)
+            self._start_reader()
+            await self._stream(coexpr)
+        finally:
+            self._finish()
+
+    async def _run_control(self, envelope: tuple | None) -> None:
+        """Serve ping/peers envelopes until the peer closes or goes
+        silent.
+
+        A prober holds this connection open across rounds, so the loop
+        answers any number of control frames.  Each receive waits one
+        heartbeat interval — short enough that a graceful shutdown
+        (``finish`` sets ``_cancelled``) is honored promptly — and a
+        peer silent for the request timeout is dropped, so an abandoned
+        prober cannot pin a session slot forever.
+        """
+        idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
+        try:
+            while not self._stopping():
+                if envelope is not None:
+                    reply = self._control_reply(envelope)
+                    if reply is None:
+                        return  # protocol violation: drop the connection
+                    await self._send(reply)
+                    idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
+                elif time.monotonic() >= idle_deadline:
+                    return  # silent peer: reclaim the slot
+                envelope = await self._recv_step()
+        except _GONE:
+            pass  # peer gone: the control session just ends
+
+    async def _send_failure(self, error: BaseException) -> None:
+        """Data first, then the error, then close — the wire invariant."""
+        try:
+            await self._flush(block=True)
+            await self._send((WIRE_ERROR, encode_error(error)))
+            await self._send((WIRE_CLOSE,))
+        except _GONE:
+            pass  # peer gone: the error dies with the session
+
+    async def _run_reader(self) -> None:
+        """Control channel + beater: credits, deadlines, cancellation,
+        liveness.
+
+        A heartbeat interval without a whole frame counts toward the
+        mid-frame stall bound, proves liveness with a ``WIRE_BEAT``, and
+        delivers any batch that has out-lingered its bound.
+
+        Once the sender has finished the reader switches to *drain*
+        mode — a lingering close that keeps consuming until the client
+        closes its end.  Closing our socket any earlier would RST the
+        connection while the client's late credit grants are still in
+        flight, destroying the stream tail (data, the error, the close
+        terminator) in the client's kernel buffer.
+        """
+        try:
+            while not self._killed:
+                try:
+                    envelope = await self._recv_step()
+                    if envelope is not None:
+                        if self._dispatch(envelope):
+                            break
+                        continue
+                    if self._stalled(self._partial()):
+                        self.kill()  # stalled mid-frame: a dead client
+                        break
+                    if self._finished:
+                        continue  # draining a half-closed socket: no beats
+                    await self._send((WIRE_BEAT, time.monotonic()))
+                    if self._linger_due():
+                        await self._flush(block=False)
+                except EOFError:
+                    if not self._finished:
+                        self.kill()  # client left mid-stream: stop the body
+                    break
+                except _GONE:
+                    # Torn connection: stop the body, wake the sender.
+                    self.kill()
+                    break
+        finally:
+            # Whichever of the reader and the sender finishes last
+            # closes the socket (see _finish).
+            with self._guard:
+                self._reader_done = True
+                finished = self._finished
+            if finished:
+                self._teardown()
+
+    # -- teardown --------------------------------------------------------------
+
+    def _finish(self) -> None:
+        """The sender's exit: stop the body and tear the session down.
+
+        While the reader still runs, it tears down instead, when it
+        exits: the socket is closed by whichever of the two finishes
+        last, never while the other may still use it.  Unless the
+        session was killed, that reader also gets the lingering close
+        (see :meth:`_run_reader`): our FIN now, the close at the
+        client's.
+        """
+        if self.coexpr is not None:
+            self.coexpr.close()
+        with self._guard:
+            if self._finished:
+                return
+            self._finished = True
+            reader_running = self.reader_handle is not None and not self._reader_done
+            if reader_running and not self._killed:
+                self._half_close()
+        if not reader_running:
+            self._teardown()
+
+    def _teardown(self) -> None:
+        """Final socket close + deregistration (idempotent)."""
+        with self._guard:
+            if self._torn:
+                return
+            self._torn = True
+            self._close()
+        self.server._forget(self)
+
+
+class Session(_SessionRules):
+    """One client connection: a body, its sender thread, and its reader
+    thread — the threaded driver over :class:`_SessionRules`."""
+
+    _ids = itertools.count(1)
+
+    __slots__ = ("framer", "_cond", "_order")
+
+    def __init__(self, server: "GeneratorServer", sock: Any, peer: Any) -> None:
+        super().__init__(server, peer, f"net-session-{next(self._ids)}")
+        # A server that does not execute client code must not unpickle
+        # arbitrary client objects either: without allow_spawn, frames
+        # decode through the restricted unpickler (primitives only).
+        self.framer = SocketFramer(sock, trusted=server.allow_spawn)
+        self._cond = self._guard = threading.Condition()
+        #: Serializes the pop-buffer/send-WIRE_DATA pair across the two
+        #: flushing threads (sender and the reader's linger tick) —
+        #: separate from ``_cond`` so credit grants still land while a
+        #: sendall is throttled by the socket.
+        self._order = threading.Lock()
 
     # -- worker/session protocol (scheduler accounting) ------------------------
 
@@ -176,19 +583,31 @@ class Session:
         return not self.is_alive()
 
     def kill(self) -> None:
-        """Abrupt teardown: close the socket now (idempotent).
+        """Abrupt teardown: shut the socket down now (idempotent).
 
         The chaos path — the client sees a torn connection, its
         watchdog raises :class:`~repro.errors.PipeConnectionLost`, and
         supervision (if any) reconnects.  Also what scheduler shutdown
         and the graceful path's straggler sweep use.
+
+        A shutdown, not a close: it wakes whichever thread is blocked on
+        the socket but keeps the descriptor allocated.  Closing it here
+        would free the number while the other thread may be about to use
+        it, and the accept loop reuses freed numbers at once — a late
+        send or shutdown would then land on another client's
+        connection.  :meth:`_teardown` closes the socket once both
+        threads are done with it.
         """
         with self._cond:
             self._killed = True
             self._cond.notify_all()
+            if not self._torn:
+                try:
+                    self.framer.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # never connected, or the peer already reset it
         if self.coexpr is not None:
             self.coexpr.close()
-        self.framer.close()
 
     def finish(self) -> None:
         """Graceful teardown: stop producing, flush, close the stream.
@@ -204,40 +623,21 @@ class Session:
         if self.coexpr is not None:
             self.coexpr.close()
 
-    def _stopping(self) -> bool:
-        return self._killed or self._cancelled
-
     # -- credit ----------------------------------------------------------------
 
     def grant(self, amount: int | None) -> None:
-        """Apply one ``WIRE_CREDIT`` envelope (None = unlimited).
-
-        A server ``max_credit`` quota caps outstanding credit here, at
-        the grant path — the one place every credit enters.  Bounded
-        grants accumulate only up to the quota.  An *unlimited* grant
-        (the client's channel is unbounded, so it will never send
-        another credit envelope) becomes quota-sized **greedy** credit
-        instead: :meth:`_flush` self-replenishes it, so the stream
-        proceeds in quota-sized slices rather than wedging on a
-        replenishment that cannot come.
-        """
-        quota = self.server.max_credit
+        """Apply one ``WIRE_CREDIT`` envelope (see :meth:`_apply_grant`)."""
         with self._cond:
-            if amount is None:
-                if quota is None:
-                    self._credit = None
-                else:
-                    self._greedy = True
-                    self._credit = quota
-            elif self._credit is not None:
-                self._credit += amount
-                if quota is not None and self._credit > quota:
-                    self._credit = quota
+            self._apply_grant(amount)
             self._cond.notify_all()
 
     # -- sender ----------------------------------------------------------------
 
-    def _flush(self, block: bool) -> None:
+    async def _flush(self, block: bool) -> None:
+        """:meth:`_flush_now` for the shared flows."""
+        self._flush_now(block)
+
+    def _flush_now(self, block: bool) -> None:
         """Send buffered items as credit allows.
 
         ``block=True`` (the sender) waits for credit until the buffer is
@@ -259,21 +659,7 @@ class Session:
                 with self._cond:
                     if not self._buffer or self._killed:
                         return
-                    credit = self._credit
-                    if credit == 0:
-                        slice_ = None
-                    else:
-                        take = (
-                            len(self._buffer)
-                            if credit is None
-                            else min(credit, len(self._buffer))
-                        )
-                        slice_, self._buffer = (
-                            self._buffer[:take],
-                            self._buffer[take:],
-                        )
-                        if credit is not None:
-                            self._credit = credit - take
+                    slice_ = self._take()
                 if slice_ is not None:
                     self.framer.send((WIRE_DATA, slice_))
                     continue
@@ -281,11 +667,13 @@ class Session:
             if not block:
                 return
             with self._cond:
-                if self._buffer and self._credit == 0 and not self._killed:
-                    if self._greedy:
-                        self._credit = self.server.max_credit
-                    else:
-                        self._cond.wait(_CREDIT_SLICE)
+                if (
+                    self._buffer
+                    and self._credit == 0
+                    and not self._killed
+                    and not self._refill()
+                ):
+                    self._cond.wait(_CREDIT_SLICE)
 
     def _append(self, value: Any) -> None:
         with self._cond:
@@ -294,44 +682,21 @@ class Session:
             self._buffer.append(value)
             full = len(self._buffer) >= self.batch
         if full:
-            self._flush(block=True)
+            self._flush_now(block=True)
 
     def run(self) -> None:
-        """The sender thread: request → body → stream → terminator.
+        """The sender thread: the shared :meth:`_serve` flow."""
+        _run_sync(self._serve())
 
-        A connection whose first envelope is a control kind
-        (``WIRE_PING`` / ``WIRE_PEERS``) never builds a body: it
-        becomes a control session — the membership tier's probe and
-        gossip channel — served inline on this thread until the peer
-        hangs up.
-        """
-        try:
-            try:
-                envelope = self._read_first()
-            except (OSError, EOFError, FrameError, TimeoutError):
-                return  # client vanished before asking for anything
-            except Exception as error:  # noqa: BLE001 - reported to the client
-                self._send_failure(error)
-                return
-            if envelope[0] in (WIRE_PING, WIRE_PEERS):
-                self.request_name = "control"
-                self._run_control(envelope)
-                return
-            try:
-                coexpr = self._build_body(envelope)
-            except Exception as error:  # noqa: BLE001 - reported to the client
-                self._send_failure(error)
-                return
-            self.coexpr = coexpr
-            self.server._note_session(self)
-            self.reader_handle = self.server.scheduler.submit(
-                self._run_reader, name=f"{self.name}-reader"
-            )
-            self._stream(coexpr)
-        finally:
-            self._finish()
+    def _start_reader(self) -> None:
+        self.reader_handle = self.server.scheduler.submit(
+            lambda: _run_sync(self._run_reader()), name=f"{self.name}-reader"
+        )
 
-    def _read_first(self) -> tuple:
+    async def _send(self, envelope: tuple) -> None:
+        self.framer.send(envelope)
+
+    async def _recv_request(self) -> tuple:
         # The request read is the only timed receive on this socket: the
         # reader thread polls with select over a *blocking* socket, so
         # the sender's sendall never inherits a receive timeout (a send
@@ -346,246 +711,65 @@ class Session:
             except OSError:
                 pass
 
-    def _run_control(self, envelope: tuple | None) -> None:
-        """Serve ping/peers envelopes until the peer closes or goes
-        silent.
+    async def _recv_step(self) -> tuple | None:
+        """The next envelope, or None after one heartbeat interval
+        without a whole frame.
 
-        A prober holds this connection open across rounds, so the loop
-        answers any number of control frames.  The receive timeout is
-        one heartbeat interval — short enough that a graceful shutdown
-        (``finish`` sets ``_cancelled``) is honored promptly — and a
-        peer silent for the request timeout is dropped, so an abandoned
-        prober cannot pin a session slot forever.
+        The socket stays blocking (a receive timeout would infect the
+        sender's sendall), so this polls with select and receives
+        through the framer's one-step
+        :meth:`~repro.coexpr.wire.SocketFramer.try_recv` — never
+        blocking past the bytes select reported.
         """
-        sock = self.framer.sock
-        idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
-        try:
-            sock.settimeout(self.heartbeat_interval)
-            while not self._stopping():
-                if envelope is not None:
-                    kind = envelope[0]
-                    if kind == WIRE_PING:
-                        nonce = envelope[1] if len(envelope) > 1 else None
-                        self.framer.send((WIRE_PONG, nonce))
-                    elif kind == WIRE_PEERS:
-                        told = envelope[1] if len(envelope) > 1 else None
-                        if told:
-                            self.server._merge_peers(told)
-                        self.framer.send((WIRE_PEERS, self.server.known_peers()))
-                    else:
-                        return  # protocol violation: drop the connection
-                    idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
-                elif time.monotonic() >= idle_deadline:
-                    return  # silent peer: reclaim the slot
+        limit = time.monotonic() + self.heartbeat_interval
+        while True:
+            if not self.framer.buffered():
+                wait = limit - time.monotonic()
+                if wait <= 0:
+                    return None
                 try:
-                    envelope = self.framer.recv()
-                except (socket.timeout, TimeoutError):
-                    envelope = None
-        except (OSError, EOFError, FrameError):
-            pass  # peer gone: the control session just ends
+                    ready, _, _ = select.select([self.framer.sock], [], [], wait)
+                except ValueError as error:  # closed under us (fd -1)
+                    raise OSError(str(error)) from error
+                if not ready:
+                    return None
+            envelope = self.framer.try_recv()
+            if envelope is not None:
+                return envelope
 
-    def _build_body(self, first: tuple) -> CoExpression:
-        kind, *payload = first
-        if kind not in (WIRE_SPAWN, WIRE_CALL) or not payload:
-            raise PipeError(f"expected a spawn/call request, got {kind!r}")
-        request = payload[0]
-        self.request_name = request.get("name") or kind
-        self.batch = max(int(request.get("batch", 1)), 1)
-        if self.server.max_batch is not None:
-            # The coalescing buffer holds up to one batch before the
-            # sender blocks on credit, so this caps per-session buffered
-            # items no matter what slice size the client asks for.
-            self.batch = min(self.batch, self.server.max_batch)
-        self.max_linger = request.get("max_linger")
-        interval = request.get("heartbeat_interval")
-        if interval:
-            self.heartbeat_interval = float(interval)
-        if kind == WIRE_SPAWN:
-            if not self.server.allow_spawn:
-                raise PipeError(
-                    f"server {self.server.name!r} does not accept spawn "
-                    "requests (allow_spawn=False); use a registered factory"
-                )
-            factory, env = pickle.loads(request["body"])
-            return CoExpression(factory, lambda: env, name=self.request_name)
-        factory = self.server._factory(request["name"])
-        args = tuple(request.get("args") or ())
-        return CoExpression(factory, lambda: args, name=self.request_name)
+    def _partial(self) -> bool:
+        # Asked of the framer, not select: partial bytes an earlier
+        # receive pulled into user space never poll readable again.
+        return self.framer.partial()
 
-    def _stream(self, coexpr: CoExpression) -> None:
+    async def _stream(self, coexpr: CoExpression) -> None:
         try:
             while not self._stopping():
                 deadline = self._deadline
-                if deadline is not None and deadline.expired():
-                    # A reported crash, not a kill: _send_failure flushes
-                    # buffered data first, so the client still receives
-                    # everything produced within budget.
-                    if lifecycle_enabled():
-                        emit_lifecycle(
-                            Event(
-                                EventKind.DEADLINE_EXPIRED,
-                                f"pipe:{self.request_name}",
-                                0,
-                                {"where": "session", "remaining": 0.0},
-                            )
-                        )
-                    raise PipeDeadlineExceeded(
-                        f"session {self.request_name!r}: deadline exceeded "
-                        "(session)",
-                        where="session",
-                    )
+                if deadline is not None:
+                    self._check_deadline(deadline)
                 value = coexpr.activate()
                 if value is FAIL:
                     break
                 self._append(value)
-            self._flush(block=True)
+            self._flush_now(block=True)
             if not self._killed:
                 self.framer.send((WIRE_CLOSE,))
-        except (OSError, EOFError, FrameError):
+        except _GONE:
             pass  # peer gone mid-stream: nothing left to tell it
         except BaseException as error:  # noqa: BLE001 - forwarded to the client
-            self._send_failure(error)
-
-    def _send_failure(self, error: BaseException) -> None:
-        """Data first, then the error, then close — the wire invariant."""
-        try:
-            self._flush(block=True)
-            self.framer.send((WIRE_ERROR, encode_error(error)))
-            self.framer.send((WIRE_CLOSE,))
-        except (OSError, EOFError, FrameError):
-            pass  # peer gone: the error dies with the session
-
-    # -- reader ----------------------------------------------------------------
-
-    def _run_reader(self) -> None:
-        """Control channel + beater: credits, cancellation, liveness.
-
-        Once the sender has finished this thread switches to *drain*
-        mode — a lingering close that keeps consuming until the client
-        closes its end.  Closing our socket any earlier would RST the
-        connection while the client's late credit grants are still in
-        flight, destroying the stream tail (data, the error, the close
-        terminator) in the client's kernel buffer.
-
-        The socket stays blocking (a receive timeout would infect the
-        sender's sendall), so receives go through the framer's
-        one-step :meth:`~repro.coexpr.wire.SocketFramer.try_recv` —
-        never blocking past the bytes select reported.  A frame left
-        partial for ``_STALL_INTERVALS`` heartbeat intervals kills the
-        session: a wedged client must not pin two scheduler threads and
-        a socket forever.
-        """
-        sock = self.framer.sock
-        stall_deadline: float | None = None
-        while not self._killed:
-            if self.framer.buffered():
-                ready = True  # a frame the request read already pulled in
-            else:
-                # Liveness bound on a half-received frame.  Asked of the
-                # framer, not select: partial bytes an earlier receive
-                # pulled into user space never poll readable again.
-                if self.framer.partial():
-                    if stall_deadline is None:
-                        stall_deadline = (
-                            time.monotonic()
-                            + self.server.stall_intervals
-                            * self.heartbeat_interval
-                        )
-                    elif time.monotonic() >= stall_deadline:
-                        self.kill()  # stalled mid-frame: a dead client
-                        break
-                else:
-                    stall_deadline = None
-                try:
-                    ready, _, _ = select.select(
-                        [sock], [], [], self.heartbeat_interval
-                    )
-                except (OSError, ValueError):
-                    break  # socket closed under us
-            if not ready:
-                if self._finished:
-                    continue  # draining a half-closed socket: no beats
-                # Idle exactly one heartbeat interval: prove liveness,
-                # and deliver any batch that has out-lingered its bound.
-                try:
-                    self.framer.send((WIRE_BEAT, time.monotonic()))
-                except (OSError, EOFError):
-                    self.kill()  # wedged client: wake a credit-blocked sender
-                    break
-                if (
-                    self.max_linger is not None
-                    and self._buffer
-                    and time.monotonic() - self._buf_oldest >= self.max_linger
-                ):
-                    try:
-                        self._flush(block=False)
-                    except (OSError, EOFError, FrameError):
-                        self.kill()
-                        break
-                continue
-            try:
-                envelope = self.framer.try_recv()
-            except EOFError:
-                if not self._finished:
-                    self.kill()  # client left mid-stream: stop the body
-                break
-            except (OSError, FrameError):
-                # Torn connection: stop the body, wake the sender.
-                self.kill()
-                break
-            if envelope is None:
-                continue  # frame still partial; the pre-select check
-                # above starts (and enforces) its completion deadline
-            stall_deadline = None
-            kind = envelope[0]
-            if kind == WIRE_CREDIT:
-                self.grant(envelope[1] if len(envelope) > 1 else None)
-            elif kind == WIRE_DEADLINE:
-                # Budget, never a timestamp: re-anchor against our own
-                # monotonic clock (see repro.coexpr.deadline).
-                budget = envelope[1] if len(envelope) > 1 else 0.0
-                try:
-                    self._deadline = Deadline(float(budget))
-                except (TypeError, ValueError):
-                    pass  # malformed budget: ignore, don't kill the stream
-            elif kind == WIRE_CANCEL:
-                self.kill()
-                break
-            # Anything else (a stray beat) is ignored.
-        if self._finished:
-            self._teardown()
+            await self._send_failure(error)
 
     # -- teardown --------------------------------------------------------------
 
-    def _finish(self) -> None:
-        with self._cond:
-            if self._finished:
-                return
-            self._finished = True
-            self._cond.notify_all()
-        if self.coexpr is not None:
-            self.coexpr.close()
-        reader = self.reader_handle
-        if reader is not None and not self._killed:
-            # Lingering close: push our FIN but leave the reader
-            # consuming until the *client* closes; it runs the final
-            # teardown when the drain reaches EOF.
-            try:
-                self.framer.sock.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
-            if reader.is_alive():
-                return
-        self._teardown()
+    def _half_close(self) -> None:
+        try:
+            self.framer.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
 
-    def _teardown(self) -> None:
-        """Final socket close + deregistration (idempotent, any thread)."""
-        with self._cond:
-            if self._torn:
-                return
-            self._torn = True
+    def _close(self) -> None:
         self.framer.close()
-        self.server._forget(self)
 
 
 class GeneratorServer:
@@ -626,6 +810,9 @@ class GeneratorServer:
     mid-frame client gets before its session is killed (the hostile/
     wedged-client bound).
     """
+
+    #: Lifecycle events announcing each new session.
+    _SESSION_EVENTS = (EventKind.NET_SESSION,)
 
     def __init__(
         self,
@@ -725,25 +912,8 @@ class GeneratorServer:
 
     def start(self) -> "GeneratorServer":
         """Bind, listen, and run the accept loop on a scheduler thread."""
-        with self._lock:
-            if self._stopped:
-                raise PipeError("start on a shut-down GeneratorServer")
-            if self._started:
-                return self
-            self._started = True
-        if not _is_loopback(self.host):
-            warnings.warn(
-                f"GeneratorServer {self.name!r} is binding non-loopback "
-                f"host {self.host!r}: the wire protocol is unauthenticated "
-                + (
-                    "and allow_spawn=True lets any client execute arbitrary "
-                    "code — expose it to trusted networks only"
-                    if self.allow_spawn
-                    else "— expose it to trusted networks only"
-                ),
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if not self._claim_start():
+            return self
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
@@ -764,6 +934,35 @@ class GeneratorServer:
             listener.close()
             raise
         return self
+
+    def _claim_start(self) -> bool:
+        """The shared ``start()`` prologue: False when already started;
+        refuses a shut-down server; warns about a non-loopback bind."""
+        with self._lock:
+            if self._stopped:
+                raise PipeError(f"start on a shut-down {type(self).__name__}")
+            if self._started:
+                return False
+            self._started = True
+        self._warn_non_loopback()
+        return True
+
+    def _warn_non_loopback(self) -> None:
+        """Warn (at the ``start()`` caller) before binding a host that
+        admits non-local clients: the wire is unauthenticated."""
+        if not _is_loopback(self.host):
+            warnings.warn(
+                f"{type(self).__name__} {self.name!r} is binding non-loopback "
+                f"host {self.host!r}: the wire protocol is unauthenticated "
+                + (
+                    "and allow_spawn=True lets any client execute arbitrary "
+                    "code — expose it to trusted networks only"
+                    if self.allow_spawn
+                    else "— expose it to trusted networks only"
+                ),
+                RuntimeWarning,
+                stacklevel=4,
+            )
 
     @property
     def address(self) -> tuple:
@@ -887,8 +1086,7 @@ class GeneratorServer:
                     session.run, name=session.name
                 )
             except SchedulerShutdownError:
-                session.kill()
-                self._forget(session)
+                session._teardown()  # never ran: close and deregister
                 return
 
     def _shed(self, sock: Any, peer: Any) -> None:
@@ -902,26 +1100,7 @@ class GeneratorServer:
         hint.  Sending FIN first and draining the handshake bytes (off
         the accept thread, so a shed storm cannot serialize admission)
         lets the envelope land."""
-        with self._lock:
-            self._shed_count += 1
-            active = len(self._sessions)
-        # Emit before the busy reply goes out: the moment the reply is
-        # on the wire the client can raise PipeServerBusy and a tracer
-        # watching for the shed may already have unsubscribed.
-        if lifecycle_enabled():
-            emit_lifecycle(
-                Event(
-                    EventKind.SHED,
-                    f"server:{self.name}",
-                    0,
-                    {
-                        "peer": peer,
-                        "active": active,
-                        "max_sessions": self.max_sessions,
-                        "retry_after": self.retry_after,
-                    },
-                )
-            )
+        self._count_shed(peer)
         try:
             SocketFramer(sock).send((WIRE_BUSY, self.retry_after))
             sock.shutdown(socket.SHUT_WR)
@@ -941,6 +1120,31 @@ class GeneratorServer:
                     sock.close()
                 except OSError:
                     pass
+
+    def _count_shed(self, peer: Any) -> None:
+        """Account one shed dial: bump the counter, emit ``SHED``.
+
+        Called before the busy reply goes out: the moment the reply is
+        on the wire the client can raise PipeServerBusy and a tracer
+        watching for the shed may already have unsubscribed.
+        """
+        with self._lock:
+            self._shed_count += 1
+            active = len(self._sessions)
+        if lifecycle_enabled():
+            emit_lifecycle(
+                Event(
+                    EventKind.SHED,
+                    f"server:{self.name}",
+                    0,
+                    {
+                        "peer": peer,
+                        "active": active,
+                        "max_sessions": self.max_sessions,
+                        "retry_after": self.retry_after,
+                    },
+                )
+            )
 
     @staticmethod
     def _drain_shed(sock: Any) -> None:
@@ -962,20 +1166,21 @@ class GeneratorServer:
         except OSError:
             pass
 
-    def _note_session(self, session: Session) -> None:
+    def _note_session(self, session: _SessionRules) -> None:
         if lifecycle_enabled():
-            emit_lifecycle(
-                Event(
-                    EventKind.NET_SESSION,
-                    f"pipe:{session.request_name}",
-                    0,
-                    {
-                        "peer": session.peer,
-                        "name": session.request_name,
-                        "server": self.name,
-                    },
+            for kind in self._SESSION_EVENTS:
+                emit_lifecycle(
+                    Event(
+                        kind,
+                        f"pipe:{session.request_name}",
+                        0,
+                        {
+                            "peer": session.peer,
+                            "name": session.request_name,
+                            "server": self.name,
+                        },
+                    )
                 )
-            )
 
     def _forget(self, session: Session) -> None:
         with self._lock:
@@ -1109,6 +1314,6 @@ class GeneratorServer:
             else ("listening" if self._started else "unstarted")
         )
         return (
-            f"GeneratorServer({self.name}, {self.host}:{self.port}, {state}, "
-            f"active={len(self._sessions)})"
+            f"{type(self).__name__}({self.name}, {self.host}:{self.port}, "
+            f"{state}, active={len(self._sessions)})"
         )

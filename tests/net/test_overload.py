@@ -26,12 +26,15 @@ from repro.coexpr.supervision import NO_BACKOFF, supervise
 from repro.coexpr.wire import (
     _HEADER,
     WIRE_BEAT,
+    WIRE_CALL,
     WIRE_CLOSE,
     WIRE_CREDIT,
     WIRE_DATA,
+    WIRE_ERROR,
     SocketFramer,
+    decode_error,
 )
-from repro.errors import PipeServerBusy
+from repro.errors import PipeError, PipeServerBusy
 from repro.monitor import EventKind, Tracer
 from repro.net import (
     AsyncGeneratorServer,
@@ -256,6 +259,94 @@ class TestCreditCoalescing:
             listener.close()
         assert not peer.is_alive()
         assert grants == [(WIRE_CREDIT, 1)] * 3
+
+
+def counter(n):
+    return iter(range(n))
+
+
+def dial_counter(server, request):
+    """A raw client that asked for ``counter`` with *request* fields."""
+    sock = socket.create_connection(server.address)
+    framer = SocketFramer(sock)
+    framer.send((WIRE_CALL, {"name": "counter", "args": (10_000,), **request}))
+    return framer
+
+
+def until_hangup(framer, timeout):
+    """The envelopes received before the server closed the connection,
+    or None when it did not close within *timeout*."""
+    received = []
+    framer.sock.settimeout(timeout)
+    try:
+        while True:
+            received.append(framer.recv())
+    except TimeoutError:
+        return None
+    except (EOFError, OSError, PipeError):
+        return received
+
+
+BAD_FIELDS = [
+    ("batch", 0),
+    ("batch", 2.5),
+    ("max_linger", "x"),
+    ("max_linger", -1.0),
+    ("max_linger", float("nan")),
+    ("heartbeat_interval", -1),
+    ("heartbeat_interval", 0),
+    ("heartbeat_interval", float("inf")),
+]
+
+
+class TestMalformedInput:
+    """Client-controlled request fields and credit are validated once,
+    in the shared session rules, so both substrates reject them the same
+    way — probed here with raw clients against ``allow_spawn=False``,
+    the untrusted posture."""
+
+    @pytest.mark.parametrize(
+        "field, value", BAD_FIELDS, ids=[f"{f}={v!r}" for f, v in BAD_FIELDS]
+    )
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_bad_request_field_is_an_error_then_close(
+        self, server_cls, field, value, pipe_scheduler
+    ):
+        with server_cls(allow_spawn=False) as server:
+            server.register("counter", counter)
+            framer = dial_counter(server, {field: value})
+            try:
+                framer.send((WIRE_CREDIT, None))
+                framer.sock.settimeout(5.0)
+                kind, payload = framer.recv()
+                assert kind == WIRE_ERROR
+                error = decode_error(payload)
+                assert isinstance(error, PipeError)
+                assert field in str(error)
+                assert framer.recv() == (WIRE_CLOSE,)
+            finally:
+                framer.close()
+            assert wait_active(server, 0) == 0
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
+
+    @pytest.mark.parametrize("credit", ["x", -3, 2.5])
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_bad_credit_kills_the_session(self, server_cls, credit, pipe_scheduler):
+        heartbeat = 0.5
+        with server_cls(allow_spawn=False, heartbeat_interval=heartbeat) as server:
+            server.register("counter", counter)
+            framer = dial_counter(server, {})
+            try:
+                framer.send((WIRE_CREDIT, credit))
+                received = until_hangup(framer, heartbeat)
+            finally:
+                framer.close()
+            # Gone within one heartbeat, and nothing streamed on the
+            # strength of the bad grant.
+            assert received is not None
+            assert [e for e in received if e[0] != WIRE_BEAT] == []
+            assert wait_active(server, 0) == 0
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
 
 
 class TestCircuitBreaker:

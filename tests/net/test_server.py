@@ -20,8 +20,12 @@ from repro.coexpr.scheduler import PipeScheduler, default_scheduler
 from repro.coexpr.wire import _HEADER, WIRE_CALL, WIRE_CREDIT, SocketFramer
 from repro.errors import PipeConnectionLost, PipeError
 from repro.monitor import EventKind, Tracer
-from repro.net import GeneratorServer, RemotePipe
+from repro.net import AsyncGeneratorServer, GeneratorServer, RemotePipe
 from repro.runtime.failure import FAIL
+
+
+SERVERS = [GeneratorServer, AsyncGeneratorServer]
+SERVER_IDS = ["thread", "async"]
 
 
 def counter(n):
@@ -34,6 +38,11 @@ def ticker(delay=0.02):
         yield i
         i += 1
         time.sleep(delay)
+
+
+def blobs():
+    while True:
+        yield b"x" * 65536
 
 
 def crasher(n):
@@ -174,16 +183,20 @@ class TestSpawnPolicy:
             with pytest.raises(PipeConnectionLost):
                 pipe.take()
 
-    def test_non_loopback_bind_warns(self):
-        srv = GeneratorServer(host="0.0.0.0")
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_non_loopback_bind_warns(self, server_cls):
+        srv = server_cls(host="0.0.0.0")
         try:
-            with pytest.warns(RuntimeWarning, match="non-loopback"):
+            with pytest.warns(RuntimeWarning, match="non-loopback") as record:
                 srv.start()
         finally:
             srv.shutdown()
+        assert server_cls.__name__ in str(record[0].message)
+        assert record[0].filename == __file__  # points at the caller
 
-    def test_loopback_bind_does_not_warn(self, recwarn):
-        with GeneratorServer():
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_loopback_bind_does_not_warn(self, server_cls, recwarn):
+        with server_cls():
             pass
         assert not [
             w for w in recwarn if issubclass(w.category, RuntimeWarning)
@@ -219,6 +232,29 @@ class TestShutdownAndChaos:
         with pytest.raises(PipeConnectionLost):
             while pipe.take(timeout=5.0) is not FAIL:
                 pass
+
+    def test_kill_wakes_a_sender_blocked_on_a_wedged_client(self):
+        # A client that stops reading leaves the sender blocked in
+        # sendall once the socket buffers fill.  kill() must wake it
+        # (a shutdown does; closing the descriptor from another thread
+        # does not) and release the session's threads.
+        with GeneratorServer() as srv:
+            srv.register("blobs", blobs)
+            sock = socket.create_connection(srv.address)
+            try:
+                framer = SocketFramer(sock)
+                framer.send((WIRE_CALL, {"name": "blobs"}))
+                framer.send((WIRE_CREDIT, None))
+                deadline = time.monotonic() + 5.0
+                while not srv.active_sessions():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                session = srv.active_sessions()[0]
+                time.sleep(0.5)  # the never-read buffers fill up
+                assert srv.kill_sessions() == 1
+                assert session.join(2.0)
+            finally:
+                sock.close()
 
     def test_sessions_tracked_by_scheduler(self, server):
         pipe = RemotePipe(server.address, "ticker", capacity=2)

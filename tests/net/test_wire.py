@@ -24,6 +24,7 @@ from repro.coexpr.wire import (
     SocketFramer,
     _HEADER,
     decode_error,
+    decode_frame,
     encode_error,
 )
 from repro.errors import PipeError
@@ -157,12 +158,16 @@ class TestSocketFramer:
         with pytest.raises(FrameError, match="undecodable"):
             b.recv()
 
-    def test_non_tuple_envelope_rejected(self, framer_pair):
+    @pytest.mark.parametrize("path", ["framer", "decode_frame"])
+    def test_non_tuple_envelope_rejected(self, framer_pair, path):
         a, b = framer_pair
         payload = pickle.dumps(["not", "a", "tuple"])
-        a.sock.sendall(_HEADER.pack(len(payload)) + payload)
         with pytest.raises(FrameError, match="malformed"):
-            b.recv()
+            if path == "framer":
+                a.sock.sendall(_HEADER.pack(len(payload)) + payload)
+                b.recv()
+            else:
+                decode_frame(payload, trusted=True)
 
     def test_buffered_sees_pipelined_frames(self, framer_pair):
         # The select-deadlock regression: frames pulled into the user
@@ -243,11 +248,16 @@ class TestRestrictedFraming:
         a.send(envelope)
         assert b.recv() == envelope
 
-    def test_global_bearing_frame_is_a_frame_error(self, untrusting_pair):
+    @pytest.mark.parametrize("path", ["framer", "decode_frame"])
+    def test_global_bearing_frame_is_a_frame_error(self, untrusting_pair, path):
         a, b = untrusting_pair
-        a.send((WIRE_DATA, [_NeedsGlobal()]))
+        envelope = (WIRE_DATA, [_NeedsGlobal()])
         with pytest.raises(FrameError, match="untrusted frame"):
-            b.recv()
+            if path == "framer":
+                a.send(envelope)
+                b.recv()
+            else:
+                decode_frame(pickle.dumps(envelope), trusted=False)
 
     def test_nested_pickle_bytes_stay_opaque(self, untrusting_pair):
         # A spawn request's body is pickled *bytes* inside the envelope:
