@@ -46,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import deque
 from typing import Any, AsyncIterator, List
 
 from ..errors import ChannelClosedError, PipeTimeoutError
@@ -126,7 +127,7 @@ class AsyncChannel:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._items: List[Any] = []
+        self._items: deque = deque()
         self._cond = asyncio.Condition()
         self._closed = False
 
@@ -215,7 +216,7 @@ class AsyncChannel:
                 await _cond_wait(self._cond, deadline, "AsyncChannel.take")
             if not self._items:
                 return CLOSED
-            item = self._items.pop(0)
+            item = self._items.popleft()
             self._cond.notify_all()
         if isinstance(item, RaiseEnvelope):
             raise item.error
@@ -237,10 +238,10 @@ class AsyncChannel:
                 if isinstance(self._items[0], RaiseEnvelope):
                     if batch:
                         break  # deliver the preceding data first
-                    envelope = self._items.pop(0)
+                    envelope = self._items.popleft()
                     self._cond.notify_all()
                     raise envelope.error
-                batch.append(self._items.pop(0))
+                batch.append(self._items.popleft())
             self._cond.notify_all()
         return batch
 
@@ -323,7 +324,7 @@ class AsyncPipe:
         self._task: asyncio.Task | None = None
         self._cancelled = False
         self._errored = False
-        self._pending: List[Any] = []
+        self._pending: deque = deque()
 
     def _emit(self, kind: str, value: Any = None) -> None:
         if lifecycle_enabled():
@@ -398,7 +399,7 @@ class AsyncPipe:
     async def take(self, timeout: Any = None) -> Any:
         """The next result or :data:`FAIL` once exhausted."""
         if self._pending:
-            return self._pending.pop(0)
+            return self._pending.popleft()
         if timeout is None:
             timeout = self.take_timeout
         deadline = self.deadline
@@ -558,7 +559,7 @@ class AsyncWorker:
         if lifecycle_enabled():
             pipe._emit(
                 EventKind.BATCH,
-                {"size": len(buffer), "queued": len(pipe.out)},
+                {"size": len(buffer), "queued": pipe._queued()},
             )
         buffer.clear()
 

@@ -20,6 +20,13 @@ time, so the total wait never exceeds the requested timeout no matter
 how many spurious wakeups occur.  Timeouts raise
 :class:`~repro.errors.PipeTimeoutError` (a :class:`TimeoutError`
 subclass).
+
+The handoff costs only what it has to.  Each operation holds the channel
+lock directly, and wakes the other side only when a thread is actually
+asleep on it: the channel counts the threads blocked on each condition,
+under the lock, so a producer running ahead of a busy consumer (or the
+reverse) pays no condition-variable notify per item.  A :meth:`take_many`
+with no error queued drains the whole queue in one copy.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Iterable, Iterator, List
+from typing import Any, Iterable, Iterator
 
 from ..errors import ChannelClosedError, PipeTimeoutError
 
@@ -87,13 +94,15 @@ def deadline_wait(
     """One deadline-aware condition wait; raises on an expired deadline.
 
     Shared by every blocking primitive (channels, M-vars) so that a
-    timeout means "total wall-clock", not "per wakeup".
+    timeout means "total wall-clock", not "per wakeup".  A wait that
+    times out returns to the caller's loop, which re-checks its
+    predicate before the next call raises: a notify that raced with the
+    timeout is then served, not lost with this waiter.
     """
     left = remaining(deadline)
     if left is not None and left <= 0:
         raise PipeTimeoutError(f"{what} timed out")
-    if not condition.wait(left):
-        raise PipeTimeoutError(f"{what} timed out")
+    condition.wait(left)
 
 
 class Channel:
@@ -112,6 +121,44 @@ class Channel:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
+        # Threads blocked in _not_empty / _not_full, and RaiseEnvelopes
+        # queued; all three change only under _lock.  A waiter counts
+        # itself before it re-checks its predicate, so a notify skipped
+        # because a count was zero can never strand a sleeper.
+        self._takers = 0
+        self._putters = 0
+        self._envelopes = 0
+
+    def _await_item(self, deadline: float | None, what: str) -> None:
+        """Wait, counted, until an item is queued or the channel closes;
+        caller holds ``_lock`` and found the queue empty and open."""
+        self._takers += 1
+        try:
+            while not self._items and not self._closed:
+                deadline_wait(self._not_empty, deadline, what)
+        finally:
+            self._takers -= 1
+
+    def _await_space(self, deadline: float | None, what: str) -> None:
+        """Wait, counted, until a bounded channel has space or closes;
+        caller holds ``_lock`` and found the queue full and open."""
+        capacity = self.capacity
+        self._putters += 1
+        try:
+            while len(self._items) >= capacity and not self._closed:
+                deadline_wait(self._not_full, deadline, what)
+        finally:
+            self._putters -= 1
+
+    def _popleft(self) -> Any:
+        """Dequeue the head (an item or an envelope); caller holds
+        ``_lock`` and has checked the queue is non-empty."""
+        item = self._items.popleft()
+        if self._envelopes and isinstance(item, RaiseEnvelope):
+            self._envelopes -= 1
+        if self._putters:
+            self._not_full.notify()
+        return item
 
     # -- producer side -------------------------------------------------------
 
@@ -130,14 +177,14 @@ class Channel:
         accept a timeout but can never expire on one.
         """
         deadline = deadline_of(timeout)
-        with self._not_full:
-            if self.capacity:
-                while len(self._items) >= self.capacity and not self._closed:
-                    deadline_wait(self._not_full, deadline, "Channel.put")
+        with self._lock:
+            if self.capacity and len(self._items) >= self.capacity:
+                self._await_space(deadline, "Channel.put")
             if self._closed:
                 raise ChannelClosedError("put on a closed channel")
             self._items.append(item)
-            self._not_empty.notify()
+            if self._takers:
+                self._not_empty.notify()
 
     def put_many(self, items: Iterable[Any], timeout: float | None = None) -> int:
         """Enqueue every element of *items* under (at most) one lock
@@ -162,23 +209,23 @@ class Channel:
             return 0
         deadline = deadline_of(timeout)
         sent = 0
-        with self._not_full:
+        with self._lock:
             while True:
+                if self.capacity and len(self._items) >= self.capacity:
+                    self._await_space(deadline, "Channel.put_many")
                 if self._closed:
                     raise ChannelClosedError(
                         f"put_many on a closed channel ({sent}/{len(batch)} sent)"
                     )
                 if self.capacity:
                     free = self.capacity - len(self._items)
-                    if free <= 0:
-                        deadline_wait(self._not_full, deadline, "Channel.put_many")
-                        continue
                     chunk = batch[sent : sent + free]
                 else:
                     chunk = batch[sent:]
                 self._items.extend(chunk)
                 sent += len(chunk)
-                self._not_empty.notify(len(chunk))
+                if self._takers:
+                    self._not_empty.notify(len(chunk))
                 if sent >= len(batch):
                     return sent
 
@@ -193,7 +240,9 @@ class Channel:
             if self._closed:
                 raise ChannelClosedError("put_error on a closed channel")
             self._items.append(RaiseEnvelope(error))
-            self._not_empty.notify()
+            self._envelopes += 1
+            if self._takers:
+                self._not_empty.notify()
 
     def close(self) -> None:
         """Close the channel; queued items remain takeable.
@@ -217,14 +266,12 @@ class Channel:
         raises :class:`PipeTimeoutError`.
         """
         deadline = deadline_of(timeout)
-        with self._not_empty:
-            while not self._items and not self._closed:
-                deadline_wait(self._not_empty, deadline, "Channel.take")
-            if self._items:
-                item = self._items.popleft()
-                self._not_full.notify()
-            else:
+        with self._lock:
+            if not self._items and not self._closed:
+                self._await_item(deadline, "Channel.take")
+            if not self._items:
                 return CLOSED
+            item = self._popleft()
         if isinstance(item, RaiseEnvelope):
             raise item.error
         return item
@@ -241,27 +288,35 @@ class Channel:
         Error envelopes are never reordered past the data that preceded
         them: the batch stops just before a queued
         :class:`RaiseEnvelope`, and an envelope at the head of the queue
-        re-raises its exception (exactly as :meth:`take` would).
+        re-raises its exception (exactly as :meth:`take` would).  With no
+        envelope queued and the queue within *max_n*, the drain is a
+        single copy of the queue; the per-item scan runs only while an
+        error is queued.
         """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
         deadline = deadline_of(timeout)
-        with self._not_empty:
-            while not self._items and not self._closed:
-                deadline_wait(self._not_empty, deadline, "Channel.take_many")
-            if not self._items:
-                return CLOSED
-            batch: List[Any] = []
+        with self._lock:
+            if not self._items and not self._closed:
+                self._await_item(deadline, "Channel.take_many")
             items = self._items
-            while items and len(batch) < max_n:
+            if not items:
+                return CLOSED
+            if self._envelopes:
                 if isinstance(items[0], RaiseEnvelope):
-                    if batch:
+                    raise self._popleft().error
+                batch = []
+                while items and len(batch) < max_n:
+                    if isinstance(items[0], RaiseEnvelope):
                         break  # deliver the preceding data first
-                    envelope = items.popleft()
-                    self._not_full.notify()
-                    raise envelope.error
-                batch.append(items.popleft())
-            self._not_full.notify(len(batch))
+                    batch.append(items.popleft())
+            elif len(items) <= max_n:
+                batch = list(items)
+                items.clear()
+            else:
+                batch = [items.popleft() for _ in range(max_n)]
+            if self._putters:
+                self._not_full.notify(len(batch))
         return batch
 
     def feed_wire(self, kind: str, payload: Any = None) -> bool:
@@ -288,8 +343,7 @@ class Channel:
         """Non-blocking take: an item, or :data:`CLOSED`, or None if empty."""
         with self._lock:
             if self._items:
-                item = self._items.popleft()
-                self._not_full.notify()
+                item = self._popleft()
             elif self._closed:
                 return CLOSED
             else:

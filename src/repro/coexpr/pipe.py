@@ -13,6 +13,14 @@ Per the paper, the output queue ``out`` "is exposed as a public field to
 permit further manipulation", and bounding its capacity throttles the
 producer thread.
 
+The consumer pays one channel handoff per *take*, not per result, where
+it can.  A take on an unbounded pipe drains everything already queued
+in ``out`` in one lock acquisition, serves the head, and keeps the rest
+in a consumer-side buffer that later takes serve without the lock — so
+``out`` no longer holds results already drained into the pipe.  A
+bounded pipe takes one result at a time, so a capacity-k producer never
+runs more than k results ahead of its consumer.
+
 Robustness (the supervision layer, :mod:`repro.coexpr.supervision`)
 builds on three hooks here:
 
@@ -33,6 +41,7 @@ thread backend when the body cannot cross a process boundary.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import deque
@@ -51,8 +60,11 @@ from .channel import CLOSED, Channel
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline, deadline_from
 from .scheduler import PipeScheduler, WorkerHandle, default_scheduler
+from .wire import _is_number
 
 _UNSET = object()
+#: ``take_many`` bound for an unbatched unbounded pipe: everything queued.
+_DRAIN_ALL = sys.maxsize
 
 
 class Pipe(IconIterator):
@@ -117,8 +129,9 @@ class Pipe(IconIterator):
     ) -> None:
         """Wrap *expr* (a co-expression, iterator node, generator factory,
         or iterable) in a threaded proxy with an output channel of
-        *capacity* (0 = unbounded).  ``take_timeout`` is the default
-        deadline applied to every :meth:`take` (None = wait forever).
+        *capacity* (0 = unbounded; see the module docstring for how each
+        kind is drained).  ``take_timeout`` is the default deadline
+        applied to every :meth:`take` (None = wait forever).
 
         ``batch`` > 1 turns on batched transport: the worker coalesces up
         to that many results and moves them through the channel as one
@@ -173,10 +186,19 @@ class Pipe(IconIterator):
         :class:`~repro.errors.PipeDeadlineExceeded`, then close) instead
         of leaving it computing for a consumer that gave up.
         """
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if max_linger is not None and max_linger < 0:
-            raise ValueError("max_linger must be >= 0 or None")
+        # The generator server's rules (see wire._is_number), so a value
+        # no tier can run fails here rather than on the remote tier only.
+        if type(capacity) is not int or capacity < 0:
+            raise ValueError(f"capacity must be an int >= 0, got {capacity!r}")
+        if type(batch) is not int or batch < 1:
+            raise ValueError(f"batch must be an int >= 1, got {batch!r}")
+        if max_linger is not None and not (
+            _is_number(max_linger) and max_linger >= 0
+        ):
+            raise ValueError(
+                f"max_linger must be None or a finite number >= 0, "
+                f"got {max_linger!r}"
+            )
         if backend not in ("thread", "process", "remote", "async"):
             raise ValueError(
                 "backend must be 'thread', 'process', 'remote', or 'async'"
@@ -191,10 +213,14 @@ class Pipe(IconIterator):
             from ..net.cluster import normalize_remote_address
 
             remote_address = normalize_remote_address(remote_address)
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0 or None")
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be > 0 or None")
+        for field, value in (
+            ("heartbeat_interval", heartbeat_interval),
+            ("heartbeat_timeout", heartbeat_timeout),
+        ):
+            if value is not None and not (_is_number(value) and value > 0):
+                raise ValueError(
+                    f"{field} must be None or a finite number > 0, got {value!r}"
+                )
         super().__init__()
         self.coexpr: CoExpression = coexpr_of(expr)
         self.capacity = capacity
@@ -241,9 +267,10 @@ class Pipe(IconIterator):
         #: Degradation reason when a process request fell back to threads.
         self._degraded: str | None = None
         self._errored = False
-        #: Consumer-side buffer of unbatched results (only the taking
-        #: thread touches it, matching Channel's one-consumer-per-take
-        #: contract for ordering).
+        #: Consumer-side buffer: results already taken from ``out`` in a
+        #: slice (a batch, or an unbounded pipe's drain) and not yet
+        #: served.  Fan-out consumers share it through deque's atomic
+        #: ``popleft``.
         self._pending: deque = deque()
         self._flushes = 0
         self._batched_items = 0
@@ -379,7 +406,7 @@ class Pipe(IconIterator):
         if lifecycle_enabled():
             self._emit(
                 EventKind.BATCH,
-                {"size": len(buffer), "queued": len(self.out)},
+                {"size": len(buffer), "queued": self._queued()},
             )
         buffer.clear()
 
@@ -514,8 +541,13 @@ class Pipe(IconIterator):
         itself (tearing down the producer, whichever tier it runs on)
         and raises :class:`PipeDeadlineExceeded` instead.
         """
-        if timeout is _UNSET:
-            timeout = self.take_timeout
+        deadline = self.deadline
+        if deadline is not None and deadline.expired():
+            # Checked before the buffered results too: an expired pipe
+            # raises on its next take however many results it holds.
+            error = self._deadline_error("take")
+            self.cancel()
+            raise error
         if self._pending:
             # Unbatching fast path: already-taken results are served
             # without touching the channel lock at all.
@@ -523,17 +555,20 @@ class Pipe(IconIterator):
                 return self._pending.popleft()
             except IndexError:
                 pass  # raced with another consumer (fan-out); fall through
-        deadline = self.deadline
+        if timeout is _UNSET:
+            timeout = self.take_timeout
         if deadline is not None:
-            if deadline.expired():
-                error = self._deadline_error("take")
-                self.cancel()
-                raise error
             timeout = deadline.bound(timeout)
+        # A batched pipe takes up to one batch; an unbounded one drains
+        # whatever is queued.  A bounded unbatched pipe takes one item at
+        # a time, so its producer never runs more than capacity ahead.
+        many = self.batch > 1 or not self.capacity
         try:
             self.start()
-            if self.batch > 1:
-                item = self.out.take_many(self.batch, timeout)
+            if many:
+                item = self.out.take_many(
+                    self.batch if self.batch > 1 else _DRAIN_ALL, timeout
+                )
             else:
                 item = self.out.take(timeout)
         except PipeDeadlineExceeded:
@@ -553,13 +588,18 @@ class Pipe(IconIterator):
             ) from None
         if item is CLOSED:
             return FAIL
-        if self.batch > 1:
+        if many:
             # take_many returned a non-empty slice: serve the head now,
             # stash the rest for lock-free subsequent takes.
             if len(item) > 1:
                 self._pending.extend(item[1:])
             return item[0]
         return item
+
+    def _queued(self) -> int:
+        """Results produced and not yet served: ``out`` plus the drained
+        slice this pipe still holds."""
+        return len(self.out) + len(self._pending)
 
     def next_value(self) -> Any:  # stateful stepping: no auto-restart
         return self.take()
@@ -674,4 +714,4 @@ class Pipe(IconIterator):
             if self._cancelled
             else ("running" if self._started else "unstarted")
         )
-        return f"Pipe({self.coexpr.name}, {state}, queued={len(self.out)})"
+        return f"Pipe({self.coexpr.name}, {state}, queued={self._queued()})"

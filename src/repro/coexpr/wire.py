@@ -35,6 +35,7 @@ containers of them) and turning a hostile payload into a
 from __future__ import annotations
 
 import io
+import math
 import pickle
 import struct
 import threading
@@ -102,6 +103,16 @@ WIRE_PONG = "pong"
 #: the reply is the receiver's fleet (its own advertised address first).
 #: Both sides merge what they learn.
 WIRE_PEERS = "peers"
+
+
+def _is_number(value: Any) -> bool:
+    """True for an int or a finite float (a bool is not a number here).
+
+    The one numeric rule for the tuning fields a request carries
+    (``batch``, ``max_linger``, ``heartbeat_interval``): ``Pipe`` checks
+    them with it at construction, the generator server again on arrival.
+    """
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,7 @@ class RemoteWorker:
         "heartbeat_timeout",
         "handle",
         "lost",
+        "_loss_once",
         "pool",
         "route_key",
         "chaos",
@@ -330,6 +331,8 @@ class RemoteWorker:
         self.handle: Any = None
         #: The loss verdict once the watchdog fired (None while healthy).
         self.lost: PipeConnectionLost | None = None
+        #: Held by the first loss report (see _claim_loss); never released.
+        self._loss_once = threading.Lock()
         #: Cluster routing, when this session was dialed through a
         #: :class:`~repro.net.cluster.ServerPool`: the pool hears about
         #: losses/health (suspicion, failover accounting) keyed by
@@ -373,7 +376,16 @@ class RemoteWorker:
 
     # -- pump / watchdog -------------------------------------------------------
 
+    def _claim_loss(self) -> bool:
+        """True for the first loss report only: one lost session is one
+        breaker failure.  (A drop-at-connect rule reports the loss and
+        closes the socket; the pump then sees EOF and would report it
+        again.)"""
+        return self._loss_once.acquire(blocking=False)
+
     def _mark_lost(self, reason: str) -> None:
+        if not self._claim_loss():
+            return
         breaker_for(self.address).record_failure()
         if self.pool is not None:
             self.pool.note_lost(self.route_key, self.address, reason)
@@ -394,6 +406,8 @@ class RemoteWorker:
     def _mark_busy(self, retry_after: float) -> None:
         """The server shed us (``WIRE_BUSY``): a retryable loss that
         feeds the breaker its ``retry_after`` hint."""
+        if not self._claim_loss():
+            return
         breaker_for(self.address).record_failure(retry_after)
         if self.pool is not None:
             self.pool.note_lost(self.route_key, self.address, "server at capacity")

@@ -41,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import math
 import pickle
 import select
 import socket
@@ -69,6 +68,7 @@ from ..coexpr.wire import (
     WIRE_SPAWN,
     FrameError,
     SocketFramer,
+    _is_number,
     encode_error,
 )
 from ..errors import PipeDeadlineExceeded, PipeError, SchedulerShutdownError
@@ -114,11 +114,6 @@ def _run_sync(flow: Any) -> Any:
         return done.value
     flow.close()
     raise RuntimeError("a threaded session flow tried to suspend")
-
-
-def _is_number(value: Any) -> bool:
-    """True for an int or a finite float (a bool is not a number here)."""
-    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 class _SessionRules:

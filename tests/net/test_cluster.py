@@ -23,12 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.patterns import pipeline, source_pipe
+from repro.coexpr.pipe import Pipe
 from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
 from repro.errors import PipeConnectionLost
 from repro.monitor import Tracer
 from repro.net import GeneratorServer, HashRing, RemotePipe, ServerPool
+from repro.net.client import breaker_for
 from repro.net.cluster import normalize_remote_address
 
 
@@ -361,6 +364,26 @@ class TestWorkStealing:
         dp = DataParallel(chunk_size=100, backend="remote", remote_address=pool)
         assert list(dp.map_flat(double, range(10))) == [2 * x for x in range(10)]
         assert pool.stats()["steals"] == 3        # 2 remote retries + fallback
+
+    def test_one_lost_session_is_one_breaker_failure(self, servers):
+        # A drop-at-connect reports the loss, then closes the socket; the
+        # pump, already blocked in recv, sees EOF.  Reporting that second
+        # sighting too opened the threshold-3 breaker after two steals.
+        plan = FaultPlan()
+        plan.drop_connection("one-drop", on_attempts=(1,), after_items=0)
+        address = servers[0].address
+        pool = ServerPool([address], fault_plan=plan)
+        pipe = Pipe(
+            CoExpression(count_to, lambda: (5,), name="one-drop"),
+            backend="remote",
+            remote_address=pool,
+        ).start()
+        worker = pipe._remote_worker
+        with pytest.raises(PipeConnectionLost, match="injected connection drop"):
+            pipe.take()
+        assert worker.join(5.0)  # the pump saw the closed socket and exited
+        assert breaker_for(address)._failures == 1
+        pipe.cancel(join=True, timeout=5.0)
 
 
 class TestRemotePipePool:

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.patterns import pipeline, source_pipe, stage
 from repro.coexpr.pipe import Pipe
@@ -24,7 +25,7 @@ from repro.coexpr.supervision import (
 )
 from repro.errors import PipeConnectionLost
 from repro.monitor import EventKind, Tracer
-from repro.net import GeneratorServer
+from repro.net import AsyncGeneratorServer, GeneratorServer
 from repro.net.client import remote_unsafe_reason
 
 
@@ -62,6 +63,20 @@ def crash_on_seven(x):
     if x == 7:
         raise ValueError("x was seven")
     return x
+
+
+def one_then_sleep():
+    yield 0
+    time.sleep(1.0)
+
+
+def one_then_naps():
+    # The same second of silence, in 20 ms activations (each yields a
+    # result): an event-loop session gets its loop back between them.
+    yield 0
+    for i in range(1, 50):
+        time.sleep(0.02)
+        yield i
 
 
 @pytest.fixture
@@ -286,6 +301,40 @@ class TestWatchdog:
         with pytest.raises(PipeConnectionLost) as excinfo:
             list(it)
         assert excinfo.value.address == server.address
+
+
+class TestReaderLingerTick:
+    """A partial batch leaves the server within its linger bound while
+    the body is busy: only the session reader's tick can flush it (the
+    sender is inside the body, and 64 results never fill the batch)."""
+
+    @pytest.mark.parametrize(
+        "server_cls, body, results",
+        [
+            (GeneratorServer, one_then_sleep, 1),
+            (GeneratorServer, one_then_naps, 50),
+            # One blocking activation holds an event-loop server's loop,
+            # reader included, for its whole length (see _YIELD_SLICE);
+            # that substrate's tick runs between activations.
+            (AsyncGeneratorServer, one_then_naps, 50),
+        ],
+    )
+    def test_first_result_arrives_within_the_linger_bound(
+        self, server_cls, body, results
+    ):
+        with server_cls() as srv:
+            pipe = Pipe(
+                CoExpression(body),
+                batch=64,
+                max_linger=0.05,
+                backend="remote",
+                remote_address=srv.address,
+            )
+            started = time.monotonic()
+            assert pipe.take() == 0
+            assert time.monotonic() - started < 0.5
+            assert pipe.degraded is None
+            assert list(pipe.iterate()) == list(range(1, results))
 
 
 class TestBackpressure:
