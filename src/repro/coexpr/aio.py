@@ -33,12 +33,13 @@ exactly as it replays a threaded one.
 activation runs to completion on the loop before anything else does;
 the tier multiplexes *between* results, not inside them.  A worker
 yields to the loop after every activation (``await asyncio.sleep(0)``),
-so fairness is per-item.  Because activations are atomic on the loop,
-a ``max_linger`` bound needs no separate flusher thread here: the age
-check after each activation observes exactly what a concurrent flusher
-could have — a partial batch can only out-linger its bound while the
-producer is inside one activation, same as a thread-tier flusher that
-lost the race for the buffer lock.
+so fairness is per-item.  Both producers batch through the shared rule
+(:class:`~repro.coexpr.coalesce.Coalescer`).  Because activations are
+atomic on the loop, a ``max_linger`` bound needs no separate flusher
+thread here: the age check after each activation is this tier's linger
+wakeup, and it observes exactly what a concurrent flusher could have — a
+partial batch can only out-linger its bound while the producer is
+inside one activation.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from ..errors import ChannelClosedError, PipeTimeoutError
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
 from .channel import CLOSED, RaiseEnvelope, deadline_of, remaining
+from .coalesce import Coalescer
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline, deadline_from
 from .scheduler import WorkerHandle
@@ -310,8 +312,8 @@ class AsyncPipe:
         take_timeout: float | None = None,
         deadline: Any = None,
     ) -> None:
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
+        #: The batching rule (validates ``batch``).
+        self._coalescer = Coalescer(batch)
         self.coexpr: CoExpression = coexpr_of(expr)
         self.capacity = capacity
         #: The output queue — public, as in the paper.
@@ -345,7 +347,7 @@ class AsyncPipe:
         coexpr = self.coexpr
         deadline = self.deadline
         batch = self.batch
-        buffer: List[Any] = []
+        coalescer = self._coalescer
         try:
             while not self._cancelled:
                 if deadline is not None and deadline.expired():
@@ -362,16 +364,13 @@ class AsyncPipe:
                 value = coexpr.activate()
                 if value is FAIL:
                     break
-                if batch > 1:
-                    buffer.append(value)
-                    if len(buffer) >= batch:
-                        await out.put_many(buffer)
-                        buffer = []
-                else:
+                if batch == 1:
                     await out.put(value)
+                elif coalescer.append(value, time.monotonic()):
+                    await out.put_many(coalescer.drain())
                 await asyncio.sleep(0)  # per-item fairness across tasks
-            if buffer:
-                await out.put_many(buffer)  # flush-on-exhaustion
+            if coalescer:
+                await out.put_many(coalescer.drain())  # flush-on-exhaustion
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         except asyncio.CancelledError:
@@ -379,8 +378,8 @@ class AsyncPipe:
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
             self._errored = True
             try:
-                if buffer:
-                    await out.put_many(buffer)  # data before the error
+                if coalescer:
+                    await out.put_many(coalescer.drain())  # data before the error
                 out.put_error(error)
             except ChannelClosedError:
                 pass
@@ -549,19 +548,19 @@ class AsyncWorker:
             out.put_many(chunk, timeout=0)
             sent += len(chunk)
 
-    async def _flush(self, buffer: List[Any]) -> None:
-        """Deliver a coalesced batch and keep the pipe's batching
+    async def _flush(self) -> None:
+        """Deliver the coalesced batch and keep the pipe's batching
         counters/events identical to the thread tier's."""
         pipe = self.pipe
-        await self._deliver(pipe.out, buffer)
+        items = pipe._coalescer.drain()
+        await self._deliver(pipe.out, items)
         pipe._flushes += 1
-        pipe._batched_items += len(buffer)
+        pipe._batched_items += len(items)
         if lifecycle_enabled():
             pipe._emit(
                 EventKind.BATCH,
-                {"size": len(buffer), "queued": pipe._queued()},
+                {"size": len(items), "queued": pipe._queued()},
             )
-        buffer.clear()
 
     async def _produce(self) -> None:
         pipe = self.pipe
@@ -569,9 +568,7 @@ class AsyncWorker:
         coexpr = pipe.coexpr
         deadline = pipe.deadline
         batch = pipe.batch
-        max_linger = pipe.max_linger
-        buffer: List[Any] = []
-        oldest = 0.0
+        coalescer = pipe._coalescer
         try:
             while not pipe._cancelled:
                 if deadline is not None and deadline.expired():
@@ -579,23 +576,18 @@ class AsyncWorker:
                 value = coexpr.activate()
                 if value is FAIL:
                     break
-                if batch > 1:
-                    if not buffer:
-                        oldest = time.monotonic()
-                    buffer.append(value)
+                if batch == 1:
+                    await self._deliver(out, [value])
+                else:
+                    now = time.monotonic()
                     # Activations are atomic on the loop, so this
                     # post-activation age check is the linger flusher
                     # (see the module docstring's cooperative caveat).
-                    if len(buffer) >= batch or (
-                        max_linger is not None
-                        and time.monotonic() - oldest >= max_linger
-                    ):
-                        await self._flush(buffer)
-                else:
-                    await self._deliver(out, [value])
+                    if coalescer.append(value, now) or coalescer.due_in(now) == 0:
+                        await self._flush()
                 await asyncio.sleep(0)  # per-item fairness across workers
-            if buffer:  # flush-on-exhaustion: no result is stranded
-                await self._flush(buffer)
+            if coalescer:  # flush-on-exhaustion: no result is stranded
+                await self._flush()
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         except asyncio.CancelledError:
@@ -603,8 +595,8 @@ class AsyncWorker:
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
             pipe._errored = True
             try:
-                if buffer:
-                    await self._flush(buffer)  # data before the error
+                if coalescer:
+                    await self._flush()  # data before the error
                 out.put_error(error)  # unthrottled: never blocks
             except ChannelClosedError:
                 pass  # cancelled while reporting: consumer is gone

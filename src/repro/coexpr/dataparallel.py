@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator, List
 from ..errors import PipeConnectionLost
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
+from .coalesce import Coalescer
 from .coexpression import CoExpression
 from .deadline import deadline_from
 from .pipe import Pipe
@@ -147,8 +148,8 @@ class DataParallel:
             raise ValueError("chunk_size must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 or None")
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
+        # Validated now, not when the first chunk task spawns.
+        Coalescer(batch, max_linger)
         if backend not in ("thread", "process", "remote", "async"):
             raise ValueError(
                 "backend must be 'thread', 'process', 'remote', or 'async'"

@@ -13,6 +13,15 @@ Per the paper, the output queue ``out`` "is exposed as a public field to
 permit further manipulation", and bounding its capacity throttles the
 producer thread.
 
+With ``batch=1`` the worker is exactly that loop.  A larger ``batch``
+runs the same loop through the shared batching rule
+(:class:`~repro.coexpr.coalesce.Coalescer`): results coalesce into
+slices of up to ``batch``.  Without ``max_linger`` the worker is the
+coalescer's only user and appends without a lock.  With it, a flusher
+thread shares the coalescer under the pipe's condition and sleeps until
+a partial batch comes due — or until the worker starts a new one — so
+the bound holds exactly even while the worker is busy computing.
+
 The consumer pays one channel handoff per *take*, not per result, where
 it can.  A take on an unbounded pipe drains everything already queued
 in ``out`` in one lock acquisition, serves the head, and keeps the rest
@@ -45,7 +54,8 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Iterator, List
+from contextlib import nullcontext
+from typing import Any, Iterator
 
 from ..errors import (
     ChannelClosedError,
@@ -57,6 +67,7 @@ from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 from .channel import CLOSED, Channel
+from .coalesce import Coalescer
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline, deadline_from
 from .scheduler import PipeScheduler, WorkerHandle, default_scheduler
@@ -106,9 +117,8 @@ class Pipe(IconIterator):
         "_flushes",
         "_batched_items",
         "_flusher",
-        "_buf_cond",
-        "_buffer",
-        "_buf_oldest",
+        "_coalescer",
+        "_cond",
         "_producer_done",
     )
 
@@ -190,15 +200,7 @@ class Pipe(IconIterator):
         # no tier can run fails here rather than on the remote tier only.
         if type(capacity) is not int or capacity < 0:
             raise ValueError(f"capacity must be an int >= 0, got {capacity!r}")
-        if type(batch) is not int or batch < 1:
-            raise ValueError(f"batch must be an int >= 1, got {batch!r}")
-        if max_linger is not None and not (
-            _is_number(max_linger) and max_linger >= 0
-        ):
-            raise ValueError(
-                f"max_linger must be None or a finite number >= 0, "
-                f"got {max_linger!r}"
-            )
+        coalescer = Coalescer(batch, max_linger)  # validates both
         if backend not in ("thread", "process", "remote", "async"):
             raise ValueError(
                 "backend must be 'thread', 'process', 'remote', or 'async'"
@@ -274,14 +276,16 @@ class Pipe(IconIterator):
         self._pending: deque = deque()
         self._flushes = 0
         self._batched_items = 0
-        # Linger-mode state: the coalescing buffer moves behind a
-        # condition shared by the worker and the flusher thread.
-        self._flusher: WorkerHandle | None = None
-        self._buf_cond = (
-            threading.Condition() if (batch > 1 and max_linger is not None) else None
+        #: The batching rule, shared by whichever in-process tier runs
+        #: the producer (thread or async).
+        self._coalescer = coalescer
+        #: Guards the coalescer between the thread worker and its linger
+        #: flusher.  None without a flusher (batch=1, or no ``max_linger``):
+        #: the worker is then the coalescer's only user and takes no lock.
+        self._cond = (
+            threading.Condition() if batch > 1 and max_linger is not None else None
         )
-        self._buffer: List[Any] = []
-        self._buf_oldest = 0.0
+        self._flusher: WorkerHandle | None = None
         self._producer_done = False
 
     # -- lifecycle events ------------------------------------------------------
@@ -353,7 +357,7 @@ class Pipe(IconIterator):
                 return self
             # Degraded: fall through to the thread backend below.
         self._worker = scheduler.submit(self._run, name=f"pipe-{self.coexpr.name}")
-        if self._buf_cond is not None:
+        if self._cond is not None:
             self._flusher = scheduler.submit(
                 self._run_flusher, name=f"linger-{self.coexpr.name}"
             )
@@ -368,12 +372,13 @@ class Pipe(IconIterator):
         return self._degraded
 
     def _run(self) -> None:
-        if self.batch > 1:
-            self._run_batched()
-            return
         out = self.out
         coexpr = self.coexpr
         deadline = self.deadline
+        coalescer = self._coalescer if self.batch > 1 else None
+        cond = self._cond
+        guard = cond if cond is not None else nullcontext()
+        now = 0.0  # the batch clock, read only when a batch starts
         try:
             while not self._cancelled:
                 if deadline is not None and deadline.expired():
@@ -381,16 +386,45 @@ class Pipe(IconIterator):
                 value = coexpr.activate()
                 if value is FAIL:
                     break
-                out.put(value)
+                if coalescer is None:
+                    out.put(value)  # batch=1: the paper's shape
+                elif cond is None:
+                    # No linger bound: the batch clock is never read.
+                    if coalescer.append(value, 0.0):
+                        self._flush()
+                else:
+                    with cond:
+                        if coalescer.started is None:
+                            # A batch starts: read the clock and arm the
+                            # flusher's linger wait.
+                            now = time.monotonic()
+                            cond.notify()
+                        if coalescer.append(value, now):
+                            self._flush()
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
             self._errored = True
             try:
+                if coalescer is not None:
+                    # Results produced before the crash are delivered
+                    # before the error: batching never reorders data
+                    # past an error.
+                    with guard:
+                        self._flush()
                 out.put_error(error)  # unthrottled: never blocks on a full queue
             except ChannelClosedError:
                 pass  # cancelled while reporting: consumer is gone
         finally:
+            if coalescer is not None:
+                with guard:
+                    self._producer_done = True
+                    try:
+                        self._flush()  # flush-on-exhaustion/close
+                    except ChannelClosedError:
+                        pass
+                    if cond is not None:
+                        cond.notify()  # release the flusher
             out.close()
             # A worker that died (error) or was cancelled abandons its
             # upstream mid-stream; propagate so the producer chain above
@@ -398,125 +432,41 @@ class Pipe(IconIterator):
             if self._cancelled or self._errored:
                 self._cancel_upstream()
 
-    def _flush(self, buffer: List[Any]) -> None:
-        """Move the coalesced *buffer* through the channel as one slice."""
-        self.out.put_many(buffer)
+    def _flush(self) -> None:
+        """Move every coalesced result through the channel as one slice;
+        the caller holds ``_cond`` when a flusher shares the coalescer."""
+        if not self._coalescer:
+            return
+        items = self._coalescer.drain()
+        self.out.put_many(items)
         self._flushes += 1
-        self._batched_items += len(buffer)
+        self._batched_items += len(items)
         if lifecycle_enabled():
             self._emit(
                 EventKind.BATCH,
-                {"size": len(buffer), "queued": self._queued()},
+                {"size": len(items), "queued": self._queued()},
             )
-        buffer.clear()
-
-    def _run_batched(self) -> None:
-        if self._buf_cond is not None:
-            self._run_batched_linger()
-            return
-        # Throughput mode (no linger bound): the buffer is worker-local,
-        # so coalescing costs no locking at all until the flush.
-        out = self.out
-        coexpr = self.coexpr
-        batch = self.batch
-        deadline = self.deadline
-        buffer: List[Any] = []
-        try:
-            while not self._cancelled:
-                if deadline is not None and deadline.expired():
-                    raise self._deadline_error("producer")
-                value = coexpr.activate()
-                if value is FAIL:
-                    break
-                buffer.append(value)
-                if len(buffer) >= batch:
-                    self._flush(buffer)
-            if buffer:  # flush-on-exhaustion: no result is stranded
-                self._flush(buffer)
-        except ChannelClosedError:
-            pass  # the consumer cancelled the pipe; just exit
-        except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            self._errored = True
-            try:
-                # Results produced before the crash are delivered before
-                # the error — batching never reorders data past an error.
-                if buffer:
-                    self._flush(buffer)
-                out.put_error(error)  # unthrottled: never blocks on a full queue
-            except ChannelClosedError:
-                pass  # cancelled while reporting: consumer is gone
-        finally:
-            out.close()
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
-
-    def _flush_locked(self) -> None:
-        """Flush the shared linger buffer; caller holds ``_buf_cond``."""
-        if self._buffer:
-            buffer, self._buffer = self._buffer, []
-            self._flush(buffer)
-
-    def _run_batched_linger(self) -> None:
-        out = self.out
-        coexpr = self.coexpr
-        batch = self.batch
-        cond = self._buf_cond
-        deadline = self.deadline
-        try:
-            while not self._cancelled:
-                if deadline is not None and deadline.expired():
-                    raise self._deadline_error("producer")
-                value = coexpr.activate()
-                if value is FAIL:
-                    break
-                with cond:
-                    if not self._buffer:
-                        self._buf_oldest = time.monotonic()
-                        cond.notify_all()  # arm the flusher's linger clock
-                    self._buffer.append(value)
-                    if len(self._buffer) >= batch:
-                        self._flush_locked()
-        except ChannelClosedError:
-            pass  # the consumer cancelled the pipe; just exit
-        except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            self._errored = True
-            try:
-                with cond:
-                    self._flush_locked()  # data first, then the error
-                out.put_error(error)
-            except ChannelClosedError:
-                pass  # cancelled while reporting: consumer is gone
-        finally:
-            with cond:
-                self._producer_done = True
-                try:
-                    self._flush_locked()  # flush-on-exhaustion/close
-                except ChannelClosedError:
-                    pass
-                cond.notify_all()  # release the flusher
-            out.close()
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
 
     def _run_flusher(self) -> None:
-        """Deliver partial batches older than ``max_linger`` while the
-        worker is away computing — the latency half of the batching
-        trade-off.  Exits when the worker finishes and the buffer drains."""
-        cond = self._buf_cond
-        max_linger = self.max_linger
+        """Deliver a partial batch once it has lingered ``max_linger``,
+        even while the worker is away computing — the latency half of
+        the batching trade-off.  Sleeps until the batch is due, or until
+        the worker arms a new one; exits when the worker finishes."""
+        cond = self._cond
+        coalescer = self._coalescer
         with cond:
             while True:
-                if not self._buffer:
+                if not coalescer:
                     if self._producer_done:
                         return
                     cond.wait()
                     continue
-                wait = self._buf_oldest + max_linger - time.monotonic()
+                wait = coalescer.due_in(time.monotonic())
                 if wait > 0:
                     cond.wait(wait)
                     continue
                 try:
-                    self._flush_locked()
+                    self._flush()
                 except ChannelClosedError:
                     return  # consumer cancelled: nothing left to deliver
 

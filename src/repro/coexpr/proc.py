@@ -17,6 +17,10 @@ Three behaviours distinguish the tier:
 
 * **Heartbeat watchdog.**  A daemon thread in the child emits a beat
   every ``heartbeat_interval`` seconds; the pump doubles as the monitor.
+  The beat thread is also the batching rule's linger flusher
+  (:class:`~repro.coexpr.coalesce.Coalescer`): it wakes at the next beat
+  or when a partial batch can come due, whichever is sooner, and never
+  more often than once per millisecond.
   Missed beats past ``heartbeat_timeout``, an EOF on the connection, or
   child death (exit-code sentinel) without a close envelope surface a
   :class:`~repro.errors.PipeWorkerLost` error envelope to the consumer
@@ -48,6 +52,7 @@ from typing import Any, Callable
 
 from ..errors import ChannelClosedError, PipeDeadlineExceeded, PipeWorkerLost
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
+from .coalesce import Coalescer
 from .deadline import Deadline
 from .wire import (
     WIRE_BEAT,
@@ -172,13 +177,16 @@ def _child_main(
 ) -> None:  # pragma: no cover - runs in the child process
     """Run the worker body and stream wire envelopes to the parent.
 
-    Mirrors ``Pipe._run_batched``: values coalesce into slices of up to
-    *batch*, a crash flushes buffered data before the error envelope, and
-    exhaustion flushes then closes.  A daemon thread beats every
-    *heartbeat_interval* seconds and doubles as the linger flusher when
-    *max_linger* is set.  A clean run (including a *reported* crash) ends
-    with a close envelope and exit code 0 — only a death that skips the
-    close is a lost worker.
+    The thread tier's batching rule (:class:`~repro.coexpr.coalesce.
+    Coalescer`): values coalesce into slices of up to *batch*, a crash
+    flushes buffered data before the error envelope, and exhaustion
+    flushes then closes.  A daemon thread beats every
+    *heartbeat_interval* seconds and doubles as the linger flusher: it
+    wakes at the next beat or when a partial batch can come due,
+    whichever is sooner, and never more often than once per
+    :data:`~repro.coexpr.coalesce._MIN_TICK`.  A clean run (including a
+    *reported* crash) ends with a close envelope and exit code 0 — only
+    a death that skips the close is a lost worker.
 
     *deadline_budget* is the parent pipe's remaining budget in seconds
     (monotonic clocks do not cross a fork — see
@@ -190,36 +198,34 @@ def _child_main(
     from .coexpression import CoExpression
 
     send_lock = threading.Lock()
-    buffer: list = []
-    buf_oldest = [0.0]
+    coalescer = Coalescer(batch, max_linger)
     stop = threading.Event()
 
     def send(msg: tuple) -> None:
         with send_lock:
             conn.send(msg)
 
-    def flush_locked() -> None:
-        # Caller holds send_lock; ships and clears the coalesced buffer.
-        if buffer:
-            conn.send((WIRE_DATA, list(buffer)))
-            buffer.clear()
+    def ship() -> None:
+        # Caller holds send_lock; sends whatever is coalesced.
+        if coalescer:
+            conn.send((WIRE_DATA, coalescer.drain()))
 
     def beat() -> None:
-        wait = heartbeat_interval
-        if max_linger is not None:
-            wait = min(wait, max_linger)
-        while not stop.wait(wait):
+        beat_at = time.monotonic() + heartbeat_interval
+        while True:
             try:
                 with send_lock:
-                    if (
-                        max_linger is not None
-                        and buffer
-                        and time.monotonic() - buf_oldest[0] >= max_linger
-                    ):
-                        flush_locked()
-                    conn.send((WIRE_BEAT, time.monotonic()))
+                    now = time.monotonic()
+                    if coalescer.due_in(now) == 0:
+                        ship()
+                    if now >= beat_at:
+                        conn.send((WIRE_BEAT, now))
+                        beat_at = now + heartbeat_interval
+                    wait = coalescer.sleep_for(now, beat_at)
             except (OSError, ValueError, BrokenPipeError):
                 return  # parent is gone; nothing left to report to
+            if stop.wait(wait):
+                return
 
     threading.Thread(target=beat, daemon=True, name="repro-proc-beat").start()
     coexpr = CoExpression(factory, lambda: env, name=name)
@@ -236,17 +242,14 @@ def _child_main(
                 if value is FAIL:
                     break
                 with send_lock:
-                    if not buffer:
-                        buf_oldest[0] = time.monotonic()
-                    buffer.append(value)
-                    if len(buffer) >= batch:
-                        flush_locked()
+                    if coalescer.append(value, time.monotonic()):
+                        ship()
             with send_lock:
-                flush_locked()  # flush-on-exhaustion: no result is stranded
+                ship()  # flush-on-exhaustion: no result is stranded
         except BaseException as error:  # noqa: BLE001 - forwarded to the parent
             try:
                 with send_lock:
-                    flush_locked()  # data first, then the error
+                    ship()  # data first, then the error
             except Exception:  # noqa: BLE001 - e.g. the value itself won't pickle
                 pass
             try:
@@ -308,7 +311,7 @@ class ProcessWorker:
                 coexpr._factory,
                 coexpr._env,
                 coexpr.name,
-                max(pipe.batch, 1),
+                pipe.batch,
                 pipe.max_linger,
                 interval,
                 None if pipe.deadline is None else pipe.deadline.remaining(),

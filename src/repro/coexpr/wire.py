@@ -108,9 +108,9 @@ WIRE_PEERS = "peers"
 def _is_number(value: Any) -> bool:
     """True for an int or a finite float (a bool is not a number here).
 
-    The one numeric rule for the tuning fields a request carries
-    (``batch``, ``max_linger``, ``heartbeat_interval``): ``Pipe`` checks
-    them with it at construction, the generator server again on arrival.
+    The one numeric rule for the tuning fields a request carries:
+    :class:`~repro.coexpr.coalesce.Coalescer` checks ``max_linger`` with
+    it, ``Pipe`` and the generator server check ``heartbeat_interval``.
     """
     return type(value) is int or (type(value) is float and math.isfinite(value))
 

@@ -45,10 +45,8 @@ import threading
 import time
 from typing import Any
 
-from ..coexpr.coexpression import CoExpression
 from ..coexpr.wire import (
     WIRE_BUSY,
-    WIRE_CLOSE,
     WIRE_DATA,
     _HEADER,
     _frame_length,
@@ -56,11 +54,9 @@ from ..coexpr.wire import (
     encode_frame,
 )
 from ..monitor.events import EventKind
-from ..runtime.failure import FAIL
 from .server import (
     _CREDIT_SLICE,
     _REQUEST_TIMEOUT,
-    _GONE,
     _SHED_LINGER,
     GeneratorServer,
     _SessionRules,
@@ -87,6 +83,8 @@ class _AsyncSession(_SessionRules):
     """
 
     __slots__ = ("reader", "writer", "_wlock", "_credit_wakeup", "_need")
+
+    _yield_slice = _YIELD_SLICE
 
     def __init__(
         self,
@@ -169,7 +167,7 @@ class _AsyncSession(_SessionRules):
         two flushers can never reorder slices."""
         while True:
             async with self._wlock:
-                if not self._buffer or self._killed:
+                if not self._coalescer or self._killed:
                     return
                 slice_ = self._take()
                 if slice_ is not None:
@@ -189,12 +187,9 @@ class _AsyncSession(_SessionRules):
             except asyncio.TimeoutError:
                 pass
 
-    async def _append(self, value: Any) -> None:
-        if not self._buffer:
-            self._buf_oldest = time.monotonic()
-        self._buffer.append(value)
-        if len(self._buffer) >= self.batch:
-            await self._flush(block=True)
+    async def _yield(self) -> None:
+        """Give the loop back (time-sliced fairness, see _YIELD_SLICE)."""
+        await asyncio.sleep(0)
 
     def _start_reader(self) -> None:
         self.reader_handle = asyncio.get_running_loop().create_task(
@@ -204,40 +199,16 @@ class _AsyncSession(_SessionRules):
     async def _recv_request(self) -> tuple:
         return await asyncio.wait_for(self._recv(), _REQUEST_TIMEOUT)
 
-    async def _recv_step(self) -> tuple | None:
-        """The next envelope, or None after one heartbeat interval
-        without a whole frame."""
+    async def _recv_step(self, wait: float) -> tuple | None:
+        """The next envelope, or None after *wait* seconds without a
+        whole frame."""
         try:
-            return await asyncio.wait_for(self._recv(), self.heartbeat_interval)
+            return await asyncio.wait_for(self._recv(), wait)
         except asyncio.TimeoutError:
             return None
 
     def _partial(self) -> bool:
         return self._need is not None
-
-    async def _stream(self, coexpr: CoExpression) -> None:
-        last_yield = time.monotonic()
-        try:
-            while not self._stopping():
-                deadline = self._deadline
-                if deadline is not None:
-                    self._check_deadline(deadline)
-                value = coexpr.activate()
-                if value is FAIL:
-                    break
-                await self._append(value)
-                if time.monotonic() - last_yield >= _YIELD_SLICE:
-                    await asyncio.sleep(0)  # time-sliced fairness
-                    last_yield = time.monotonic()
-            await self._flush(block=True)
-            if not self._killed:
-                await self._send((WIRE_CLOSE,))
-        except _GONE:
-            pass  # peer gone mid-stream: nothing left to tell it
-        except asyncio.CancelledError:
-            raise
-        except BaseException as error:  # noqa: BLE001 - forwarded to client
-            await self._send_failure(error)
 
     # -- teardown --------------------------------------------------------------
 

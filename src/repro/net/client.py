@@ -48,6 +48,7 @@ import time
 from typing import Any, Iterator
 
 from ..coexpr.channel import CLOSED, Channel
+from ..coexpr.coalesce import Coalescer
 from ..coexpr.deadline import deadline_from
 from ..coexpr.proc import body_portability_reason
 from ..coexpr.scheduler import PipeScheduler, default_scheduler
@@ -379,8 +380,8 @@ class RemoteWorker:
     def _claim_loss(self) -> bool:
         """True for the first loss report only: one lost session is one
         breaker failure.  (A drop-at-connect rule reports the loss and
-        closes the socket; the pump then sees EOF and would report it
-        again.)"""
+        closes the socket; the pump then finds it closed and would
+        report it again.)"""
         return self._loss_once.acquire(blocking=False)
 
     def _mark_lost(self, reason: str) -> None:
@@ -578,8 +579,14 @@ def _connect_worker(
     address: Any,
     name: str,
     request: tuple,
+    pool: Any = None,
+    key: Any = None,
 ) -> RemoteWorker:
     """Dial, register, handshake, and submit the pump for *owner*.
+
+    With a *pool*, the session joins it under route *key* before the
+    pump starts, so an armed fault plan sees every delivered item and a
+    drop-at-connect rule fires before any data can reach the consumer.
 
     Raises ``OSError`` when the server is unreachable and
     :class:`~repro.errors.SchedulerShutdownError` when the scheduler is
@@ -595,7 +602,6 @@ def _connect_worker(
         raise
     try:
         worker.handshake()
-        worker.handle = scheduler.submit(worker.pump, name=f"net-{name}")
     except BaseException:
         worker.framer.close()
         scheduler.untrack_session(worker)
@@ -609,6 +615,24 @@ def _connect_worker(
                 {"address": address},
             )
         )
+    if pool is not None:
+        worker.pool = pool
+        worker.route_key = key
+        pool.note_connect(key, address)
+        try:
+            worker.chaos = pool.chaos_enter(key)
+        except InjectedDisconnect:
+            # A drop-at-connect rule: the session opened, then "died"
+            # before any data.  The pump still runs: it finds the
+            # socket closed and tears the worker down normally.
+            worker._mark_lost("injected connection drop")
+            worker.terminate()
+    try:
+        worker.handle = scheduler.submit(worker.pump, name=f"net-{name}")
+    except BaseException:
+        worker.framer.close()
+        scheduler.untrack_session(worker)
+        raise
     return worker
 
 
@@ -650,24 +674,13 @@ def _dial_pooled(
             continue
         name = label(address) if callable(label) else (label or key)
         try:
-            worker = _connect_worker(owner, scheduler, address, name, request)
+            return _connect_worker(
+                owner, scheduler, address, name, request, pool, key
+            )
         except (OSError, EOFError) as error:
             breaker.record_failure()
             pool.note_dial_failure(key, address, error)
             last_error = error
-            continue
-        worker.pool = pool
-        worker.route_key = key
-        pool.note_connect(key, address)
-        try:
-            worker.chaos = pool.chaos_enter(key)
-        except InjectedDisconnect:
-            # A drop-at-connect rule: the session opened, then "died"
-            # before any data.  The error is already in the channel;
-            # return the worker so the owner tears it down normally.
-            worker._mark_lost("injected connection drop")
-            worker.terminate()
-        return worker
     suffix = f" (last error: {last_error!r})" if last_error is not None else ""
     raise PipeConnectionLost(
         f"no replica reachable for {key!r} in {pool!r}{suffix}",
@@ -712,7 +725,7 @@ def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | None:
                         protocol=pickle.HIGHEST_PROTOCOL,
                     ),
                     "name": coexpr.name,
-                    "batch": max(pipe.batch, 1),
+                    "batch": pipe.batch,
                     "max_linger": pipe.max_linger,
                     "heartbeat_interval": pipe.heartbeat_interval,
                 },
@@ -791,8 +804,7 @@ class RemotePipe(IconIterator):
         heartbeat_timeout: float | None = None,
         deadline: Any = None,
     ) -> None:
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
+        Coalescer(batch)  # the server's rule, checked before dialing
         super().__init__()
         from .cluster import normalize_remote_address
 

@@ -13,14 +13,16 @@ threads:
   channel: a slow client throttles the producer instead of ballooning
   the socket buffer);
 * the **reader** consumes the control channel — credit grants and
-  cancellation — and doubles as the *beater*: each receive waits at
-  most one heartbeat interval, and when that passes without a whole
-  frame it sends a ``WIRE_BEAT`` (and flushes any batch older than the
-  session's linger bound).
+  cancellation — and doubles as the *beater* and the linger flusher:
+  each receive waits until the next beat or until a partial batch can
+  come due (:class:`~repro.coexpr.coalesce.Coalescer`), whichever is
+  sooner and never less than 1 ms; then it flushes a batch that has
+  out-lingered its bound and sends a due ``WIRE_BEAT``.
 
-The rules themselves, and the flows that run them, are written once in
-:class:`_SessionRules`: :class:`Session` is their threaded I/O driver,
-:mod:`repro.net.aserver` their event-loop driver.
+The rules themselves, and the flows that run them — the sender's
+stream loop included — are written once in :class:`_SessionRules`:
+:class:`Session` is their threaded I/O driver, :mod:`repro.net.aserver`
+their event-loop driver.
 
 Stream termination follows the channel contract end to end: data
 slices in production order, a crash flushed *after* the data produced
@@ -41,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import math
 import pickle
 import select
 import socket
@@ -49,6 +52,7 @@ import time
 import warnings
 from typing import Any, Callable
 
+from ..coexpr.coalesce import _MIN_TICK, Coalescer
 from ..coexpr.coexpression import CoExpression
 from ..coexpr.deadline import Deadline
 from ..coexpr.scheduler import PipeScheduler, default_scheduler
@@ -120,24 +124,26 @@ class _SessionRules:
     """The session rules both server substrates share.
 
     Everything here is substrate-neutral: request validation, credit
-    arithmetic, slicing the buffer under credit, the session deadline,
-    the control-channel replies, the reader's envelope dispatch and
-    liveness bounds, and the flows that run them (request → body →
-    stream → terminator, the control loop, the reader).
-    :class:`Session` (threads) and
+    arithmetic, draining the coalescer under credit, the session
+    deadline, the control-channel replies, the reader's envelope
+    dispatch, wakeups and liveness bounds, and the flows that run them
+    (request → body → stream → terminator, the control loop, the
+    reader).  :class:`Session` (threads) and
     :class:`~repro.net.aserver._AsyncSession` (event-loop tasks) are I/O
-    drivers over it: each supplies its own locking or wakeups around
-    these rules, the I/O primitives the flows await, and ``grant`` and
-    ``kill``, which the dispatch calls.
+    drivers over it: each supplies its locking (``_guard``), the I/O
+    primitives the flows await — the sender's time slice (``_yield``)
+    among them — and ``grant`` and ``kill``, which the dispatch calls.
     """
+
+    #: Seconds of activations the sender runs between ``_yield`` calls
+    #: to its driver (inf: never — a threaded sender has its own thread).
+    _yield_slice = math.inf
 
     __slots__ = (
         "server",
         "peer",
         "name",
         "request_name",
-        "batch",
-        "max_linger",
         "heartbeat_interval",
         "coexpr",
         "handle",
@@ -146,8 +152,7 @@ class _SessionRules:
         "_credit",
         "_greedy",
         "_deadline",
-        "_buffer",
-        "_buf_oldest",
+        "_coalescer",
         "_stall_at",
         "_killed",
         "_cancelled",
@@ -161,14 +166,13 @@ class _SessionRules:
         self.peer = peer
         self.name = name
         self.request_name = ""
-        self.batch = 1
-        self.max_linger: float | None = None
         self.heartbeat_interval = server.heartbeat_interval
         self.coexpr: CoExpression | None = None
         self.handle: Any = None  # the sender: a scheduler handle or a task
         self.reader_handle: Any = None  # the reader, likewise
-        #: Serializes the teardown decisions between the sender and the
-        #: reader — a no-op unless the driver runs them on two threads.
+        #: Serializes the coalescer and the teardown decisions between the
+        #: sender and the reader — a no-op unless the driver runs them on
+        #: two threads.
         self._guard: Any = contextlib.nullcontext()
         #: Items the client has granted (None = unlimited, its channel is
         #: unbounded).  Starts at zero: nothing is sent before the first
@@ -180,8 +184,9 @@ class _SessionRules:
         #: Budget received in a ``WIRE_DEADLINE`` envelope, re-anchored
         #: against this host's monotonic clock.
         self._deadline: Deadline | None = None
-        self._buffer: list = []
-        self._buf_oldest = 0.0
+        #: The batching rule: what the sender has produced and not yet
+        #: sent, and when the reader must flush it.
+        self._coalescer = Coalescer()
         #: When a half-received frame's stall bound runs out (None = no
         #: frame is partial).
         self._stall_at: float | None = None
@@ -208,15 +213,12 @@ class _SessionRules:
             raise PipeError(f"expected a spawn/call request, got {kind!r}")
         request = payload[0]
         self.request_name = request.get("name") or kind
-        batch = request.get("batch", 1)
-        if type(batch) is not int or batch < 1:
-            raise PipeError(f"request batch must be an int >= 1, got {batch!r}")
-        linger = request.get("max_linger")
-        if linger is not None and not (_is_number(linger) and linger >= 0):
-            raise PipeError(
-                f"request max_linger must be None or a finite number >= 0, "
-                f"got {linger!r}"
+        try:
+            coalescer = Coalescer(
+                request.get("batch", 1), request.get("max_linger")
             )
+        except ValueError as error:
+            raise PipeError(f"request {error}") from None
         interval = request.get("heartbeat_interval")
         if interval is not None and not (_is_number(interval) and interval > 0):
             raise PipeError(
@@ -224,14 +226,15 @@ class _SessionRules:
                 f"number > 0, got {interval!r}"
             )
         if self.server.max_batch is not None:
-            # The coalescing buffer holds up to one batch before the
-            # sender blocks on credit, so this caps per-session buffered
-            # items no matter what slice size the client asks for.
-            batch = min(batch, self.server.max_batch)
-        self.batch = batch
-        self.max_linger = linger
+            # The coalescer holds up to one batch before the sender
+            # blocks on credit, so this caps per-session buffered items
+            # no matter what slice size the client asks for.
+            coalescer.batch = min(coalescer.batch, self.server.max_batch)
+        self._coalescer = coalescer
         if interval is not None:
-            self.heartbeat_interval = float(interval)
+            # Raised to the tick floor, so no request can make the
+            # reader beat in a tight loop.
+            self.heartbeat_interval = max(float(interval), _MIN_TICK)
         if kind == WIRE_SPAWN:
             if not self.server.allow_spawn:
                 raise PipeError(
@@ -278,15 +281,14 @@ class _SessionRules:
         return False
 
     def _take(self) -> list | None:
-        """Pop the slice of the buffer the current credit covers and
-        charge it (None = no credit)."""
+        """Drain the slice of the coalescer the current credit covers
+        and charge it (None = no credit)."""
         credit = self._credit
         if credit == 0:
             return None
-        take = len(self._buffer) if credit is None else min(credit, len(self._buffer))
-        slice_, self._buffer = self._buffer[:take], self._buffer[take:]
+        slice_ = self._coalescer.drain(credit)
         if credit is not None:
-            self._credit = credit - take
+            self._credit = credit - len(slice_)
         return slice_
 
     # -- sender ----------------------------------------------------------------
@@ -371,22 +373,25 @@ class _SessionRules:
             return False
         return now >= self._stall_at
 
-    def _linger_due(self) -> bool:
-        """True when a buffered batch has out-lingered its bound."""
-        return (
-            self.max_linger is not None
-            and bool(self._buffer)
-            and time.monotonic() - self._buf_oldest >= self.max_linger
-        )
+    def _reader_wait(self, now: float, beat_at: float) -> float:
+        """How long the reader's next receive may wait for a frame."""
+        if self._finished:
+            return self.heartbeat_interval  # draining: nothing to send
+        with self._guard:
+            if self._credit == 0:
+                # Nothing can leave before a grant, and a grant is a
+                # frame: it ends the receive whatever the wait.
+                return max(beat_at - now, _MIN_TICK)
+            return self._coalescer.sleep_for(now, beat_at)
 
     # -- flows -----------------------------------------------------------------
     #
     # One copy of the flows that interleave these rules with I/O.  Each
     # driver supplies the awaited primitives (_recv_request, _recv_step,
-    # _send, _flush, _stream) and _partial, _start_reader, _half_close
-    # and _close.  The event-loop driver's primitives suspend; the threaded
-    # driver's block instead, so its flows never suspend and run to
-    # completion under _run_sync.
+    # _send, _flush, and _yield when its _yield_slice is finite) and
+    # _partial, _start_reader, _half_close and _close.  The event-loop
+    # driver's primitives suspend; the threaded driver's block instead,
+    # so its flows never suspend and run to completion under _run_sync.
 
     async def _serve(self) -> None:
         """The session's main flow: request → body → stream → terminator.
@@ -420,6 +425,42 @@ class _SessionRules:
         finally:
             self._finish()
 
+    async def _stream(self, coexpr: CoExpression) -> None:
+        """Run the body to exhaustion, coalescing its results, then send
+        the terminator (data first, then any error, then close).
+
+        A full batch is flushed at once (waiting for credit); a partial
+        one is the reader's to flush once it out-lingers its bound.
+        """
+        guard = self._guard
+        coalescer = self._coalescer
+        last_yield = time.monotonic()
+        try:
+            while not self._stopping():
+                deadline = self._deadline
+                if deadline is not None:
+                    self._check_deadline(deadline)
+                value = coexpr.activate()
+                if value is FAIL:
+                    break
+                now = time.monotonic()
+                with guard:
+                    full = coalescer.append(value, now)
+                if full:
+                    await self._flush(block=True)
+                if now - last_yield >= self._yield_slice:
+                    await self._yield()
+                    last_yield = time.monotonic()
+            await self._flush(block=True)
+            if not self._killed:
+                await self._send((WIRE_CLOSE,))
+        except _GONE:
+            pass  # peer gone mid-stream: nothing left to tell it
+        except asyncio.CancelledError:
+            raise
+        except BaseException as error:  # noqa: BLE001 - forwarded to the client
+            await self._send_failure(error)
+
     async def _run_control(self, envelope: tuple | None) -> None:
         """Serve ping/peers envelopes until the peer closes or goes
         silent.
@@ -442,7 +483,7 @@ class _SessionRules:
                     idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
                 elif time.monotonic() >= idle_deadline:
                     return  # silent peer: reclaim the slot
-                envelope = await self._recv_step()
+                envelope = await self._recv_step(self.heartbeat_interval)
         except _GONE:
             pass  # peer gone: the control session just ends
 
@@ -456,12 +497,16 @@ class _SessionRules:
             pass  # peer gone: the error dies with the session
 
     async def _run_reader(self) -> None:
-        """Control channel + beater: credits, deadlines, cancellation,
-        liveness.
+        """Control channel + beater + linger flusher: credits, deadlines,
+        cancellation, liveness, and partial batches.
 
-        A heartbeat interval without a whole frame counts toward the
-        mid-frame stall bound, proves liveness with a ``WIRE_BEAT``, and
-        delivers any batch that has out-lingered its bound.
+        Each receive waits until the next beat or until a partial batch
+        can come due, whichever is sooner (never less than one
+        :data:`~repro.coexpr.coalesce._MIN_TICK`).  A receive that ends
+        without a whole frame counts toward the mid-frame stall bound.
+        Whatever ended the receive, a batch that has out-lingered its
+        bound is then flushed and a due ``WIRE_BEAT`` is sent — one per
+        heartbeat interval, however many frames arrive.
 
         Once the sender has finished the reader switches to *drain*
         mode — a lingering close that keeps consuming until the client
@@ -470,22 +515,28 @@ class _SessionRules:
         flight, destroying the stream tail (data, the error, the close
         terminator) in the client's kernel buffer.
         """
+        now = time.monotonic()
+        beat_at = now + self.heartbeat_interval
         try:
             while not self._killed:
                 try:
-                    envelope = await self._recv_step()
+                    envelope = await self._recv_step(self._reader_wait(now, beat_at))
                     if envelope is not None:
                         if self._dispatch(envelope):
                             break
-                        continue
-                    if self._stalled(self._partial()):
+                    elif self._stalled(self._partial()):
                         self.kill()  # stalled mid-frame: a dead client
                         break
                     if self._finished:
                         continue  # draining a half-closed socket: no beats
-                    await self._send((WIRE_BEAT, time.monotonic()))
-                    if self._linger_due():
+                    now = time.monotonic()
+                    with self._guard:
+                        due = self._coalescer.due_in(now) == 0
+                    if due:
                         await self._flush(block=False)
+                    if now >= beat_at:
+                        await self._send((WIRE_BEAT, now))
+                        beat_at = now + self.heartbeat_interval
                 except EOFError:
                     if not self._finished:
                         self.kill()  # client left mid-stream: stop the body
@@ -552,7 +603,7 @@ class Session(_SessionRules):
         # decode through the restricted unpickler (primitives only).
         self.framer = SocketFramer(sock, trusted=server.allow_spawn)
         self._cond = self._guard = threading.Condition()
-        #: Serializes the pop-buffer/send-WIRE_DATA pair across the two
+        #: Serializes the drain/send-WIRE_DATA pair across the two
         #: flushing threads (sender and the reader's linger tick) —
         #: separate from ``_cond`` so credit grants still land while a
         #: sendall is throttled by the socket.
@@ -629,10 +680,6 @@ class Session(_SessionRules):
     # -- sender ----------------------------------------------------------------
 
     async def _flush(self, block: bool) -> None:
-        """:meth:`_flush_now` for the shared flows."""
-        self._flush_now(block)
-
-    def _flush_now(self, block: bool) -> None:
         """Send buffered items as credit allows.
 
         ``block=True`` (the sender) waits for credit until the buffer is
@@ -652,7 +699,7 @@ class Session(_SessionRules):
         while True:
             with self._order:
                 with self._cond:
-                    if not self._buffer or self._killed:
+                    if not self._coalescer or self._killed:
                         return
                     slice_ = self._take()
                 if slice_ is not None:
@@ -663,21 +710,12 @@ class Session(_SessionRules):
                 return
             with self._cond:
                 if (
-                    self._buffer
+                    self._coalescer
                     and self._credit == 0
                     and not self._killed
                     and not self._refill()
                 ):
                     self._cond.wait(_CREDIT_SLICE)
-
-    def _append(self, value: Any) -> None:
-        with self._cond:
-            if not self._buffer:
-                self._buf_oldest = time.monotonic()
-            self._buffer.append(value)
-            full = len(self._buffer) >= self.batch
-        if full:
-            self._flush_now(block=True)
 
     def run(self) -> None:
         """The sender thread: the shared :meth:`_serve` flow."""
@@ -706,9 +744,9 @@ class Session(_SessionRules):
             except OSError:
                 pass
 
-    async def _recv_step(self) -> tuple | None:
-        """The next envelope, or None after one heartbeat interval
-        without a whole frame.
+    async def _recv_step(self, wait: float) -> tuple | None:
+        """The next envelope, or None after *wait* seconds without a
+        whole frame.
 
         The socket stays blocking (a receive timeout would infect the
         sender's sendall), so this polls with select and receives
@@ -716,7 +754,7 @@ class Session(_SessionRules):
         :meth:`~repro.coexpr.wire.SocketFramer.try_recv` — never
         blocking past the bytes select reported.
         """
-        limit = time.monotonic() + self.heartbeat_interval
+        limit = time.monotonic() + wait
         while True:
             if not self.framer.buffered():
                 wait = limit - time.monotonic()
@@ -736,24 +774,6 @@ class Session(_SessionRules):
         # Asked of the framer, not select: partial bytes an earlier
         # receive pulled into user space never poll readable again.
         return self.framer.partial()
-
-    async def _stream(self, coexpr: CoExpression) -> None:
-        try:
-            while not self._stopping():
-                deadline = self._deadline
-                if deadline is not None:
-                    self._check_deadline(deadline)
-                value = coexpr.activate()
-                if value is FAIL:
-                    break
-                self._append(value)
-            self._flush_now(block=True)
-            if not self._killed:
-                self.framer.send((WIRE_CLOSE,))
-        except _GONE:
-            pass  # peer gone mid-stream: nothing left to tell it
-        except BaseException as error:  # noqa: BLE001 - forwarded to the client
-            await self._send_failure(error)
 
     # -- teardown --------------------------------------------------------------
 

@@ -16,7 +16,8 @@ on each take.  These tests pin what that must not cost:
 * **lock-step** — a capacity-k producer never runs more than k results
   ahead of its consumer;
 * **validation** — ``Pipe`` rejects, on every backend, the tuning values
-  the generator server would reject.
+  the generator server would reject, and so do ``AsyncPipe`` and
+  ``DataParallel`` for the batching fields they take.
 
 ``REPRO_HYPOTHESIS_EXAMPLES`` scales the example count (default 40).
 """
@@ -33,8 +34,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.coexpr.aio import AsyncPipe
 from repro.coexpr.channel import CLOSED, Channel
 from repro.coexpr.coexpression import CoExpression
+from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.pipe import Pipe
 from repro.errors import ChannelClosedError, PipeDeadlineExceeded
 from repro.runtime.failure import FAIL
@@ -257,11 +260,27 @@ BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("field, value", BAD_VALUES)
-def test_pipe_rejects_what_the_server_rejects(backend, field, value):
-    kwargs = {"backend": backend, field: value}
-    if backend == "remote":
-        kwargs["remote_address"] = ("127.0.0.1", 1)  # never dialed
+# AsyncPipe and DataParallel take the batching fields too.
+CASES = (
+    [(field, value, backend) for field, value in BAD_VALUES for backend in BACKENDS]
+    + [(field, value, "AsyncPipe") for field, value in BAD_VALUES if field == "batch"]
+    + [
+        (field, value, "DataParallel")
+        for field, value in BAD_VALUES
+        if field in ("batch", "max_linger")
+    ]
+)
+
+
+@pytest.mark.parametrize("field, value, backend", CASES)
+def test_pipe_rejects_what_the_server_rejects(field, value, backend):
     with pytest.raises(ValueError, match=field):
-        Pipe(counted(3), **kwargs)
+        if backend == "AsyncPipe":
+            AsyncPipe(counted(3), **{field: value})
+        elif backend == "DataParallel":
+            DataParallel(**{field: value})
+        else:
+            kwargs = {"backend": backend, field: value}
+            if backend == "remote":
+                kwargs["remote_address"] = ("127.0.0.1", 1)  # never dialed
+            Pipe(counted(3), **kwargs)

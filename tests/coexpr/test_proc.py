@@ -12,6 +12,7 @@ threads *and* zero surviving child processes.
 
 import multiprocessing
 import os
+import resource
 import signal
 import time
 
@@ -109,6 +110,44 @@ class TestProcessStreaming:
             range(10), lambda x: x + 1, backend="process"
         ).start()
         assert list(result.iterate()) == list(range(1, 11))
+
+
+def one_then_sleep(seconds):
+    def body():
+        yield 0
+        time.sleep(seconds)
+
+    return CoExpression(body, name="one-then-sleep")
+
+
+def children_cpu():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+class TestProcessLinger:
+    """The child's beat thread doubles as the linger flusher: it wakes
+    when a partial batch comes due, not only at the next beat, and never
+    more often than once per tick."""
+
+    def test_partial_batch_arrives_within_linger_not_heartbeat(self):
+        # 64 results never fill the batch and the body sleeps for 1 s
+        # after its first: only the beat thread can deliver result 0.
+        pipe = proc_pipe(
+            one_then_sleep(1.0), batch=64, max_linger=0.05, heartbeat_interval=0.5
+        ).start()
+        started = time.monotonic()
+        assert pipe.take() == 0
+        assert time.monotonic() - started < 0.3
+        assert pipe.degraded is None
+        assert pipe.take() is FAIL
+
+    def test_zero_linger_does_not_spin(self):
+        before = children_cpu()
+        pipe = proc_pipe(one_then_sleep(0.5), batch=64, max_linger=0).start()
+        assert list(pipe.iterate()) == [0]
+        assert pipe.cancel(join=True, timeout=5.0)  # the pump reaps the child
+        assert children_cpu() - before < 0.05
 
 
 class TestCrashEnvelopeOrdering:

@@ -367,8 +367,8 @@ class TestWorkStealing:
 
     def test_one_lost_session_is_one_breaker_failure(self, servers):
         # A drop-at-connect reports the loss, then closes the socket; the
-        # pump, already blocked in recv, sees EOF.  Reporting that second
-        # sighting too opened the threshold-3 breaker after two steals.
+        # pump finds it closed.  Reporting that second sighting too opened
+        # the threshold-3 breaker after two steals.
         plan = FaultPlan()
         plan.drop_connection("one-drop", on_attempts=(1,), after_items=0)
         address = servers[0].address

@@ -348,6 +348,29 @@ class TestMalformedInput:
             assert wait_active(server, 0) == 0
         assert pipe_scheduler.leaked(join_timeout=2.0) == []
 
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_tiny_heartbeat_is_raised_to_the_tick(self, server_cls):
+        # No credit is ever granted, so the session only beats; each
+        # beat carries the server's monotonic clock (same process).
+        with server_cls() as server:
+            server.register("counter", counter)
+            framer = dial_counter(server, {"heartbeat_interval": 1e-9})
+            try:
+                start = time.monotonic()
+                time.sleep(0.3)
+                framer.sock.settimeout(5.0)
+                beats = 0
+                while True:
+                    kind, stamp = framer.recv()
+                    assert kind == WIRE_BEAT
+                    if stamp > start + 0.2:
+                        break
+                    beats += 1
+            finally:
+                framer.close()
+            assert wait_active(server, 0) == 0
+        assert 0 < beats <= 400
+
 
 class TestCircuitBreaker:
     def test_state_machine_and_events(self):

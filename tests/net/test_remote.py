@@ -9,6 +9,7 @@ leaked workers or sessions afterwards.
 
 from __future__ import annotations
 
+import resource
 import time
 
 import pytest
@@ -335,6 +336,52 @@ class TestReaderLingerTick:
             assert time.monotonic() - started < 0.5
             assert pipe.degraded is None
             assert list(pipe.iterate()) == list(range(1, results))
+
+
+class TestLingerUnderSlowHeartbeat:
+    """The reader honours ``max_linger`` at its own bound: it wakes when
+    a partial batch comes due, not only at the next heartbeat."""
+
+    @pytest.mark.parametrize("server_cls", [GeneratorServer, AsyncGeneratorServer])
+    def test_first_result_arrives_within_the_linger_bound(self, server_cls):
+        with server_cls() as srv:
+            pipe = Pipe(
+                CoExpression(one_then_naps),
+                batch=64,
+                max_linger=0.05,
+                heartbeat_interval=0.5,
+                backend="remote",
+                remote_address=srv.address,
+            )
+            started = time.monotonic()
+            assert pipe.take() == 0
+            assert time.monotonic() - started < 0.3
+            assert pipe.degraded is None
+            assert list(pipe.iterate()) == list(range(1, 50))
+
+    @pytest.mark.parametrize("server_cls", [GeneratorServer, AsyncGeneratorServer])
+    def test_zero_linger_idle_session_does_not_spin(self, server_cls):
+        # After result 0 the body sleeps 1 s with the batch empty: the
+        # reader wakes once per tick, but never spins on max_linger=0.
+        with server_cls() as srv:
+            pipe = Pipe(
+                CoExpression(one_then_sleep),
+                batch=64,
+                max_linger=0,
+                backend="remote",
+                remote_address=srv.address,
+            )
+            assert pipe.take() == 0
+            before = process_cpu()
+            time.sleep(0.5)
+            used = process_cpu() - before
+            assert list(pipe.iterate()) == []
+        assert used < 0.1
+
+
+def process_cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
 
 
 class TestBackpressure:

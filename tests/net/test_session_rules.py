@@ -3,7 +3,7 @@
 Both server substrates run one copy of the credit rules
 (:class:`repro.net.server._SessionRules`): grants with the
 ``max_credit`` quota clamp, the greedy refill that replaces an
-unlimited grant a quota clamped, and slicing the coalescing buffer
+unlimited grant a quota clamped, and draining the session's coalescer
 under the credit held.  A hypothesis rule-based machine drives those
 rules directly — no sockets, no threads, no loop — and checks them
 against a plain model, the way the Channel suite checks a channel
@@ -64,7 +64,8 @@ class CreditMachine(RuleBasedStateMachine):
     @rule(count=st.integers(1, 8))
     def append(self, count):
         items = list(range(len(self.appended), len(self.appended) + count))
-        self.session._buffer.extend(items)
+        for item in items:
+            self.session._coalescer.append(item, 0.0)
         self.appended.extend(items)
 
     @rule()
@@ -102,7 +103,7 @@ class CreditMachine(RuleBasedStateMachine):
     @invariant()
     def slices_preserve_order(self):
         assert self.sent == self.appended[: len(self.sent)]
-        assert self.sent + self.session._buffer == self.appended
+        assert self.sent + self.session._coalescer._items == self.appended
 
 
 CreditMachine.TestCase.settings = settings(
