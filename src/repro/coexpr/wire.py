@@ -61,14 +61,25 @@ WIRE_BEAT = "beat"
 #: *retry_after* seconds.  Sent before any session exists, so it is the
 #: one server->client envelope that can be the entire conversation.
 WIRE_BUSY = "busy"
+#: ``(WIRE_QUOTA, max_credit | None)`` — the server's cap on a session's
+#: outstanding credit (None = no cap).  Sent once, before any other
+#: envelope of the stream, and only when the request asked for it with
+#: ``"quota": True``; a client that knows the quota can coalesce its
+#: grants without waiting on timing (see :mod:`repro.net.client`).
+WIRE_QUOTA = "quota"
 
 # ---------------------------------------------------------------------------
 # Consumer -> server kinds (the network tier's request/control channel).
 # ---------------------------------------------------------------------------
 
 #: ``(WIRE_SPAWN, {...})`` — run a pickled ``(factory, env)`` body remotely.
+#: Request fields shared with :data:`WIRE_CALL`: ``batch``,
+#: ``max_linger``, ``heartbeat_interval``, and ``quota`` — True asks the
+#: server to answer with :data:`WIRE_QUOTA` before the stream (absent or
+#: False: no answer; any other value is a malformed request).
 WIRE_SPAWN = "spawn"
-#: ``(WIRE_CALL, {...})`` — run a factory the server registered by name.
+#: ``(WIRE_CALL, {...})`` — run a factory the server registered by name
+#: (``name``, ``args``, plus the request fields above).
 WIRE_CALL = "call"
 #: ``(WIRE_CREDIT, n | None)`` — grant the sender *n* more items (None =
 #: unlimited; the flow-control half of a bounded channel over a socket).

@@ -23,8 +23,12 @@ the server's credit plus the data in flight never exceed one window,
 and a slow consumer throttles the remote producer the same way it
 throttles a local worker blocked on a full channel.  Grants are
 coalesced: the pump owes the server the delivered count and pays it
-once half a window is owed, or before any receive that could block —
-so whenever the pump waits, the server holds every credit it can get.
+once half the effective window is owed.  The request asks the server
+for its ``max_credit`` quota *Q*, which it answers with ``WIRE_QUOTA``
+before the stream; the effective window is then ``min(window, Q)``, so
+the grant count is set by the stream, the window and the quota, not by
+which side is faster.  A peer that never answers is also paid before every
+receive that could block, since its clamp is unknown.
 
 Degradation mirrors :mod:`repro.coexpr.proc`: a body that cannot leave
 the process (:func:`~repro.coexpr.proc.body_portability_reason`), a
@@ -62,6 +66,7 @@ from ..coexpr.wire import (
     WIRE_DATA,
     WIRE_DEADLINE,
     WIRE_ERROR,
+    WIRE_QUOTA,
     WIRE_SPAWN,
     FrameError,
     SocketFramer,
@@ -462,18 +467,24 @@ class RemoteWorker:
         out = owner.out
         deadline = time.monotonic() + self.heartbeat_timeout
         closed = False
-        # Coalesced credit: items delivered but not yet granted back.
-        # Paid at half a window, and always before a receive that could
-        # block — the client cannot see a server's max_credit clamp, so
-        # a threshold alone could leave both sides waiting.
+        # Coalesced credit: items delivered but not yet granted back,
+        # paid at half the effective window E = min(window, quota).
+        # After the first grant is clamped to E, the server's credit,
+        # the data in flight and `owed` sum to E, so a pump that blocks
+        # with owed < max(1, E // 2) <= E leaves the server credit or
+        # data on the way.  Until the server has told its quota, a clamp
+        # it cannot see could leave both sides waiting, so owed credit
+        # is also paid before every receive that could block.
         owed = 0
-        threshold = max(1, self.window // 2) if self.window is not None else 0
+        window = self.window
+        threshold = max(1, window // 2) if window is not None else 0
+        quota_known = False
         _register_live(self)
         try:
             while not closed:
                 if owner._cancelled:
                     return
-                if owed and not self.framer.buffered():
+                if owed and not quota_known and not self.framer.buffered():
                     if not self._grant(owed):
                         return
                     owed = 0
@@ -518,7 +529,7 @@ class RemoteWorker:
                         except InjectedDisconnect:
                             self._mark_lost("injected connection drop")
                             return
-                    if self.window is not None:
+                    if window is not None:
                         owed += len(slice_)
                         if owed >= threshold:
                             if not self._grant(owed):
@@ -531,6 +542,14 @@ class RemoteWorker:
                 elif kind == WIRE_CLOSE:
                     self._mark_healthy()
                     closed = True
+                elif kind == WIRE_QUOTA:
+                    quota = envelope[1] if len(envelope) > 1 else 0
+                    if quota is not None and not (type(quota) is int and quota >= 1):
+                        self._mark_lost(f"protocol violation: {envelope!r}")
+                        return
+                    if window is not None and quota is not None:
+                        threshold = max(1, min(window, quota) // 2)
+                    quota_known = True
                 elif kind == WIRE_BUSY:
                     retry_after = envelope[1] if len(envelope) > 1 else 0.0
                     self._mark_busy(float(retry_after))
@@ -728,6 +747,7 @@ def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | None:
                     "batch": pipe.batch,
                     "max_linger": pipe.max_linger,
                     "heartbeat_interval": pipe.heartbeat_interval,
+                    "quota": True,
                 },
             )
             if pooled:
@@ -886,6 +906,7 @@ class RemotePipe(IconIterator):
                 "batch": self.batch,
                 "max_linger": None,
                 "heartbeat_interval": self.heartbeat_interval,
+                "quota": True,
             },
         )
         if pooled:

@@ -69,6 +69,7 @@ from ..coexpr.wire import (
     WIRE_PEERS,
     WIRE_PING,
     WIRE_PONG,
+    WIRE_QUOTA,
     WIRE_SPAWN,
     FrameError,
     SocketFramer,
@@ -224,6 +225,10 @@ class _SessionRules:
             raise PipeError(
                 f"request heartbeat_interval must be None or a finite "
                 f"number > 0, got {interval!r}"
+            )
+        if type(request.get("quota", False)) is not bool:
+            raise PipeError(
+                f"request quota must be True or False, got {request['quota']!r}"
             )
         if self.server.max_batch is not None:
             # The coalescer holds up to one batch before the sender
@@ -396,6 +401,10 @@ class _SessionRules:
     async def _serve(self) -> None:
         """The session's main flow: request → body → stream → terminator.
 
+        A request with ``"quota": True`` is answered with one
+        ``(WIRE_QUOTA, max_credit)`` before anything else of the stream,
+        so the client can size its credit grants to the server's cap.
+
         A connection whose first envelope is a control kind
         (``WIRE_PING`` / ``WIRE_PEERS``) never builds a body: it
         becomes a control session — the membership tier's probe and
@@ -420,6 +429,13 @@ class _SessionRules:
                 return
             self.coexpr = coexpr
             self.server._note_session(self)
+            if envelope[1].get("quota"):
+                # Before the reader starts, so nothing (not even a beat)
+                # can precede it.
+                try:
+                    await self._send((WIRE_QUOTA, self.server.max_credit))
+                except _GONE:
+                    return  # client gone before the stream began
             self._start_reader()
             await self._stream(coexpr)
         finally:
@@ -820,7 +836,9 @@ class GeneratorServer:
     breaker learns the server is saturated) instead of hanging.
     ``max_credit`` caps each session's outstanding flow-control credit
     and ``max_batch`` caps its coalescing slice, so one greedy client
-    cannot make the server buffer unboundedly on its behalf.
+    cannot make the server buffer unboundedly on its behalf.  A
+    client that asks is told ``max_credit`` in a ``WIRE_QUOTA``
+    envelope, so it never owes more than the server will accept.
     ``stall_intervals`` tunes how many silent heartbeat intervals a
     mid-frame client gets before its session is killed (the hostile/
     wedged-client bound).

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pickle
 import socket
-import sys
 import threading
 import time
 
@@ -31,10 +30,11 @@ from repro.coexpr.wire import (
     WIRE_CREDIT,
     WIRE_DATA,
     WIRE_ERROR,
+    WIRE_QUOTA,
     SocketFramer,
     decode_error,
 )
-from repro.errors import PipeError, PipeServerBusy
+from repro.errors import PipeConnectionLost, PipeError, PipeServerBusy
 from repro.monitor import EventKind, Tracer
 from repro.net import (
     AsyncGeneratorServer,
@@ -183,15 +183,11 @@ class TestCreditCoalescing:
         self, server_cls, credit_sends
     ):
         # 960 single-item slices used to cost 961 grants each (the
-        # initial window plus one per slice).  Half-window grants plus
-        # the pay-before-blocking rule leave a grant per time the pump
-        # catches up with the server: a timing quantity, so the pin
-        # bounds three streams together at 64 grants per stream.
-        if server_cls is AsyncGeneratorServer and sys.flags.dev_mode:
-            pytest.skip(
-                "asyncio debug mode makes the loop slower than the pump, "
-                "which then catches up (and pays) after nearly every item"
-            )
+        # initial window plus one per slice).  The server tells the
+        # client its quota (none here), so the client pays once half the
+        # 1024-item window is owed: two grants per stream, whichever
+        # side is faster.  The pin bounds three streams together at 64
+        # grants per stream.
         with server_cls() as server:
             for _ in range(3):
                 piped = source_pipe(
@@ -203,6 +199,86 @@ class TestCreditCoalescing:
                 ).start()
                 assert list(piped.iterate()) == list(range(960))
         assert len(credit_sends) <= 3 * 64
+
+    @pytest.mark.parametrize("quota", [None, 4])
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_grants_follow_the_quota_exactly(self, server_cls, quota, credit_sends):
+        # The same stream against a known quota: the initial window,
+        # then one grant per max(1, min(window, quota) // 2) items.
+        with server_cls(max_credit=quota) as server:
+            piped = source_pipe(
+                range(960),
+                backend="remote",
+                remote_address=server.address,
+                capacity=1024,
+                batch=1,
+            ).start()
+            assert list(piped.iterate()) == list(range(960))
+        # Without a quota the last 448 owed items are never paid: the
+        # stream closes first.
+        paid = 512 if quota is None else quota // 2
+        grants = [(WIRE_CREDIT, 1024)] + [(WIRE_CREDIT, paid)] * (960 // paid)
+        assert credit_sends == grants
+
+    @pytest.mark.parametrize("ask", [True, False])
+    @pytest.mark.parametrize("quota", [None, 4])
+    @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
+    def test_quota_is_the_first_envelope_when_asked(
+        self, server_cls, quota, ask, pipe_scheduler
+    ):
+        with server_cls(allow_spawn=False, max_credit=quota) as server:
+            server.register("counter", counter)
+            framer = dial_counter(server, {"args": (10,), "quota": ask})
+            try:
+                framer.send((WIRE_CREDIT, None))
+                received = until_hangup(framer, 5.0)
+            finally:
+                framer.close()
+            assert received is not None
+            stream = [e for e in received if e[0] != WIRE_BEAT]
+            if ask:
+                assert received[0] == (WIRE_QUOTA, quota)
+                stream = stream[1:]
+            assert stream[-1] == (WIRE_CLOSE,)
+            slices = [e[1] for e in stream[:-1]]
+            assert all(kind == WIRE_DATA for kind, _ in stream[:-1])
+            assert [item for slice_ in slices for item in slice_] == list(range(10))
+            assert all(len(slice_) <= (quota or 10) for slice_ in slices)
+            assert wait_active(server, 0) == 0
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
+
+    @pytest.mark.parametrize("quota", [0, 2.5, True])
+    def test_bad_quota_is_a_protocol_violation(self, quota):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            framer = SocketFramer(conn)
+            framer.recv()  # the call request
+            framer.recv()  # the initial window
+            framer.send((WIRE_QUOTA, quota))
+            try:
+                while True:
+                    framer.recv()  # until the client hangs up
+            except (EOFError, OSError):
+                pass
+            framer.close()
+
+        peer = threading.Thread(target=serve, daemon=True)
+        peer.start()
+        try:
+            pipe = RemotePipe(
+                listener.getsockname(),
+                "anything",
+                capacity=64,
+                heartbeat_timeout=5.0,
+            )
+            with pytest.raises(PipeConnectionLost, match="protocol violation"):
+                list(pipe.iterate())
+        finally:
+            peer.join(5.0)
+            listener.close()
+        assert not peer.is_alive()
 
     @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
     def test_owed_credit_paid_behind_interleaved_beats(self, server_cls):
@@ -296,6 +372,7 @@ BAD_FIELDS = [
     ("heartbeat_interval", -1),
     ("heartbeat_interval", 0),
     ("heartbeat_interval", float("inf")),
+    ("quota", "x"),
 ]
 
 
