@@ -19,6 +19,7 @@ from .aio import AsyncChannel, AsyncPipe, event_loop
 from .channel import CLOSED, Channel, RaiseEnvelope
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline, deadline_from
+from .options import PipeOptions
 from .pipe import Pipe
 from .future import Future, MVar
 from .scheduler import (
@@ -64,6 +65,7 @@ __all__ = [
     "MVar",
     "NO_BACKOFF",
     "Pipe",
+    "PipeOptions",
     "PipeScheduler",
     "RaiseEnvelope",
     "SupervisedPipe",

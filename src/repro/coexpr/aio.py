@@ -56,7 +56,8 @@ from ..runtime.failure import FAIL
 from .channel import CLOSED, RaiseEnvelope, deadline_of, remaining
 from .coalesce import Coalescer
 from .coexpression import CoExpression, coexpr_of
-from .deadline import Deadline, deadline_from
+from .deadline import Deadline
+from .options import PipeOptions
 from .scheduler import WorkerHandle
 
 #: How long a backpressured async worker sleeps before re-checking a
@@ -312,7 +313,10 @@ class AsyncPipe:
         take_timeout: float | None = None,
         deadline: Any = None,
     ) -> None:
-        #: The batching rule (validates ``batch``).
+        # Pipe's rules for the knobs this pipe takes.
+        options = PipeOptions(
+            capacity=capacity, take_timeout=take_timeout, batch=batch, deadline=deadline
+        )
         self._coalescer = Coalescer(batch)
         self.coexpr: CoExpression = coexpr_of(expr)
         self.capacity = capacity
@@ -321,7 +325,7 @@ class AsyncPipe:
         self.batch = batch
         self.take_timeout = take_timeout
         #: End-to-end budget (shared across refreshes and pipelines).
-        self.deadline: Deadline | None = deadline_from(deadline)
+        self.deadline: Deadline | None = options.deadline
         self.upstream: Any = None
         self._task: asyncio.Task | None = None
         self._cancelled = False
@@ -669,27 +673,22 @@ def async_unsafe_reason(pipe: Any) -> str | None:
     return None
 
 
-def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | None:
+def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | str:
     """Run *pipe*'s body as a task on the shared event loop.
 
     Returns a running :class:`AsyncWorker` (task scheduled, session
-    tracked by *scheduler*) — or None after emitting a ``DEGRADED``
-    monitor event when :func:`async_unsafe_reason` finds a blocking
-    dependency, in which case the caller falls back to the thread
-    backend (the same contract as the process and remote hooks).
-    Scheduler shutdown is **not** degradation: a submit racing shutdown
-    propagates :class:`~repro.errors.SchedulerShutdownError`, exactly as
-    the thread backend does (the session registration is the gate, and
-    it happens *before* the task exists, so the race leaks nothing).
+    tracked by *scheduler*) — or the reason :func:`async_unsafe_reason`
+    gives for a blocking dependency, and :meth:`Pipe.start` degrades to
+    the thread backend (the same contract as the process and remote
+    hooks).  Scheduler shutdown is **not** degradation: a submit racing
+    shutdown propagates :class:`~repro.errors.SchedulerShutdownError`,
+    exactly as the thread backend does (the session registration is the
+    gate, and it happens *before* the task exists, so the race leaks
+    nothing).
     """
     reason = async_unsafe_reason(pipe)
     if reason is not None:
-        pipe._degraded = reason
-        if lifecycle_enabled():
-            emit_lifecycle(
-                Event(EventKind.DEGRADED, f"pipe:{pipe.coexpr.name}", 0, reason)
-            )
-        return None
+        return reason
     worker = AsyncWorker(pipe, scheduler)
     scheduler.track_session(worker)  # raises after shutdown
     try:
@@ -697,13 +696,5 @@ def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | None:
     except BaseException:
         scheduler.untrack_session(worker)
         raise
-    if lifecycle_enabled():
-        emit_lifecycle(
-            Event(
-                EventKind.ASYNC_SESSION,
-                f"pipe:{pipe.coexpr.name}",
-                0,
-                {"transport": "loop", "name": pipe.coexpr.name},
-            )
-        )
+    pipe._emit(EventKind.ASYNC_SESSION, {"transport": "loop", "name": pipe.coexpr.name})
     return worker

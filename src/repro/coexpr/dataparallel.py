@@ -31,14 +31,14 @@ serialization": the pipes only map; the caller reduces serially.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Iterator, List
 
 from ..errors import PipeConnectionLost
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
-from .coalesce import Coalescer
 from .coexpression import CoExpression
-from .deadline import deadline_from
+from .options import PipeOptions
 from .pipe import Pipe
 from .scheduler import PipeScheduler
 
@@ -105,75 +105,33 @@ class DataParallel:
         capacity: int = 0,
         scheduler: PipeScheduler | None = None,
         max_pending: int | None = None,
-        batch: int = 1,
-        max_linger: float | None = None,
-        backend: str = "thread",
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        mp_context: Any = None,
-        remote_address: Any = None,
-        deadline: Any = None,
+        **knobs: Any,
     ) -> None:
         """``chunk_size`` elements per task (Figure 4 uses 1000);
-        ``capacity`` bounds each task pipe's output queue; ``max_pending``
-        (host extension) caps in-flight task pipes — the paper's version
-        spawns one per chunk up front, which is ``max_pending=None``.
-        ``batch``/``max_linger`` turn on batched transport for every task
-        pipe (see :class:`~repro.coexpr.pipe.Pipe`): mostly useful for
-        :meth:`map_flat`, whose tasks stream many elements per chunk —
-        :meth:`map_reduce` tasks emit a single fold each, so there is
-        nothing to coalesce.
+        ``max_pending`` (host extension) caps in-flight task pipes — the
+        paper's version spawns one per chunk up front, which is
+        ``max_pending=None``.
 
-        ``backend="process"`` runs each chunk task in its own child
-        process — chunks are self-contained snapshots, so this is the
-        first *GIL-free* path through the map-reduce patterns: CPU-bound
-        map functions genuinely parallelize, and a chunk worker that
-        hard-crashes surfaces :class:`~repro.errors.PipeWorkerLost` on
-        its heartbeat (watchdog knobs as on :class:`Pipe`) instead of
-        hanging the ordered drain.
-
-        ``backend="remote"`` ships each chunk task to the generator
-        server at ``remote_address`` instead of a local child — the
-        chunks are the same self-contained snapshots, so the shape that
-        isolates cleanly also distributes cleanly; a dead connection
-        surfaces :class:`~repro.errors.PipeConnectionLost`.
-
-        ``deadline`` (seconds or a shared
-        :class:`~repro.coexpr.deadline.Deadline`) bounds the whole run:
-        every task pipe shares the one budget, an expired budget
-        short-circuits further spawns, and an expired in-flight task
-        raises :class:`~repro.errors.PipeDeadlineExceeded` through the
-        ordered drain."""
+        ``capacity`` and the other knob keywords are :class:`Pipe`'s
+        (see the "Pipe options" table in ``docs/language.md``), checked
+        here and shared by every task pipe: one ``deadline`` bounds the
+        whole run, and one server pool routes every chunk task and
+        steal respawn.  ``batch`` mostly helps :meth:`map_flat`, whose
+        tasks stream many elements per chunk.  Chunks are
+        self-contained snapshots, so ``backend="process"`` folds them
+        GIL-free in crash-isolated children and ``backend="remote"``
+        ships them to generator servers; a lost child or connection
+        surfaces through the ordered drain instead of hanging it."""
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 or None")
-        # Validated now, not when the first chunk task spawns.
-        Coalescer(batch, max_linger)
-        if backend not in ("thread", "process", "remote", "async"):
-            raise ValueError(
-                "backend must be 'thread', 'process', 'remote', or 'async'"
-            )
         self.chunk_size = chunk_size
-        self.capacity = capacity
         self.scheduler = scheduler
         self.max_pending = max_pending
-        self.batch = batch
-        self.max_linger = max_linger
-        self.backend = backend
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.mp_context = mp_context
-        if remote_address is not None:
-            # Normalized once (list -> ServerPool): every chunk task —
-            # and every steal respawn — shares the one pool, so a chunk
-            # re-run after a replica death is routed around the corpse.
-            from ..net.cluster import normalize_remote_address
-
-            remote_address = normalize_remote_address(remote_address)
-        self.remote_address = remote_address
-        # Normalized once: every task pipe shares the ONE budget.
-        self.deadline = deadline_from(deadline)
+        #: The task pipes' knobs, checked now rather than when the first
+        #: chunk spawns.
+        self.options = PipeOptions(capacity, **knobs)
 
     # -- Figure 4: chunk -------------------------------------------------------
 
@@ -250,37 +208,26 @@ class DataParallel:
         task_body: Callable[..., Iterator[Any]],
         chunk: List[Any],
         extra: tuple,
-        backend: str,
+        options: PipeOptions,
         name: str = "mapreduce-task",
     ) -> Pipe:
         coexpr = CoExpression(task_body, lambda: (chunk,) + extra, name=name)
-        return Pipe(
-            coexpr,
-            capacity=self.capacity,
-            scheduler=self.scheduler,
-            batch=self.batch,
-            max_linger=self.max_linger,
-            backend=backend,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            mp_context=self.mp_context,
-            remote_address=self.remote_address,
-            deadline=self.deadline,
-        ).start()
+        return Pipe(coexpr, scheduler=self.scheduler, options=options).start()
 
-    def _pool(self, backend: str) -> Any:
+    @staticmethod
+    def _pool(options: PipeOptions) -> Any:
         """The ServerPool routing this run's tasks (None when the run is
         single-server, local, or not remote at all)."""
-        if backend != "remote":
+        if options.backend != "remote":
             return None
-        pool = self.remote_address
+        pool = options.remote_address
         return pool if hasattr(pool, "dial_candidates") else None
 
-    def _task_name(self, index: int, backend: str) -> str:
+    def _task_name(self, index: int, options: PipeOptions) -> str:
         # Pooled tasks need distinct route keys: under one shared name
         # every chunk would hash to the same replica, defeating the
         # fan-out.  Single-server and local runs keep the classic name.
-        if self._pool(backend) is not None:
+        if self._pool(options) is not None:
             return f"mapreduce-task-{index}"
         return "mapreduce-task"
 
@@ -289,7 +236,7 @@ class DataParallel:
         holder: List[Any],
         task_body: Callable[..., Iterator[Any]],
         extra: tuple,
-        backend: str,
+        options: PipeOptions,
     ) -> Iterator[Any]:
         """Drain one chunk task, stealing the chunk back on replica loss.
 
@@ -306,7 +253,7 @@ class DataParallel:
         replica → next replica → threads degradation order; the work is
         never silently dropped.
         """
-        pool = self._pool(backend)
+        pool = self._pool(options)
         if pool is None:
             yield from holder[0].iterate()
             return
@@ -342,7 +289,7 @@ class DataParallel:
                     task_body,
                     holder[1],
                     extra,
-                    "thread" if fallback else backend,
+                    replace(options, backend="thread") if fallback else options,
                     name=task.coexpr.name,
                 )
                 skip = delivered
@@ -354,11 +301,10 @@ class DataParallel:
         source: Any,
         backend: str | None = None,
     ) -> Iterator[Any]:
-        backend = backend if backend is not None else self.backend
-        if backend not in ("thread", "process", "remote", "async"):
-            raise ValueError(
-                "backend must be 'thread', 'process', 'remote', or 'async'"
-            )
+        # A per-call backend shares the instance's deadline and pool.
+        options = self.options
+        if backend is not None:
+            options = replace(options, backend=backend)
         # Cancellation propagates to siblings: if the drain stops early —
         # one task raised, or the consumer abandoned the generator — every
         # outstanding task pipe is cancelled, so no chunk worker is left
@@ -366,14 +312,14 @@ class DataParallel:
         if self.max_pending is None:
             # The paper's shape: spawn a task per chunk, then drain in order.
             holders = [
-                [self._spawn(task_body, chunk, extra, backend,
-                             name=self._task_name(index, backend)), chunk]
+                [self._spawn(task_body, chunk, extra, options,
+                             name=self._task_name(index, options)), chunk]
                 for index, chunk in enumerate(self.chunk(source))
             ]
             done = 0
             try:
                 for holder in holders:
-                    yield from self._drain(holder, task_body, extra, backend)
+                    yield from self._drain(holder, task_body, extra, options)
                     done += 1
             finally:
                 for holder in holders[done:]:
@@ -384,13 +330,13 @@ class DataParallel:
         try:
             for index, chunk in enumerate(self.chunk(source)):
                 window.append(
-                    [self._spawn(task_body, chunk, extra, backend,
-                                 name=self._task_name(index, backend)), chunk]
+                    [self._spawn(task_body, chunk, extra, options,
+                                 name=self._task_name(index, options)), chunk]
                 )
                 if len(window) >= self.max_pending:
-                    yield from self._drain(window.pop(0), task_body, extra, backend)
+                    yield from self._drain(window.pop(0), task_body, extra, options)
             while window:
-                yield from self._drain(window.pop(0), task_body, extra, backend)
+                yield from self._drain(window.pop(0), task_body, extra, options)
         finally:
             for holder in window:
                 holder[0].cancel()

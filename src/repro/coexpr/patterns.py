@@ -24,7 +24,7 @@ from ..errors import ChannelClosedError
 from ..runtime.failure import FAIL
 from .coexpression import CoExpression
 from .dataparallel import apply_mapped, iter_source
-from .deadline import deadline_from
+from .options import PipeOptions, options_from
 from .pipe import Pipe
 from .scheduler import PipeScheduler, default_scheduler
 
@@ -56,107 +56,80 @@ def _remote_pipeline_body(source: Any, stages: tuple) -> Iterator[Any]:
 
 def source_pipe(
     source: Any,
-    capacity: int = 0,
+    *,
     scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
+    options: PipeOptions | None = None,
+    **knobs: Any,
 ) -> Pipe:
-    """``|> s`` — stream a source from its own thread (or, with
-    ``backend="process"``, from a crash-isolated child process; with
-    ``backend="remote"``, from a generator server at *remote_address*)."""
+    """``|> s`` — stream a source from its own worker.
+
+    The knob keywords (or one ``options=``) are :class:`Pipe`'s; see
+    the "Pipe options" table in ``docs/language.md``.
+    """
 
     return Pipe(
         CoExpression(_source_body, lambda: (source,), name="source"),
-        capacity=capacity,
         scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
+        options=options_from(options, knobs),
     )
 
 
 def stage(
     fn: Callable[[Any], Any],
     upstream: Any,
-    capacity: int = 0,
+    *,
     scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
+    options: PipeOptions | None = None,
+    **knobs: Any,
 ) -> Pipe:
     """``|> fn(!upstream)`` — one pipeline stage in its own thread.
 
     Maps *fn* (generator or plain function) over the upstream's elements
-    and streams the results.  ``capacity`` bounds the stage's output
-    queue, throttling it relative to its consumer.
+    and streams the results.  The knob keywords (or one ``options=``)
+    are :class:`Pipe`'s; see the "Pipe options" table in
+    ``docs/language.md``.
 
     When *upstream* is a pipe, the new stage records it as its
     ``upstream``: if this stage dies or is cancelled, cancellation
     propagates up the chain so no producer is left blocked on a full
-    channel.
-
-    ``backend="process"`` applies the degradation rules of
-    :mod:`repro.coexpr.proc`: a stage fed by an in-parent pipe cannot
-    cross the process boundary and falls back to a thread (``DEGRADED``
-    monitor event); a stage over a self-contained source isolates.
-    ``backend="remote"`` follows the same rule over the network: only a
-    stage whose upstream can travel (and whose *fn* pickles) is shipped
-    to the server at *remote_address*.
+    channel.  The same upstream keeps the stage off the process, remote
+    and async tiers: a stage fed by an in-parent pipe degrades to a
+    thread (``DEGRADED`` monitor event), while a stage over a
+    self-contained source runs on the tier asked for.
     """
 
     name = getattr(fn, "__name__", "stage")
     piped = Pipe(
         CoExpression(_stage_body, lambda: (upstream, fn), name=name),
-        capacity=capacity,
         scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
+        options=options_from(options, knobs),
     )
     if hasattr(upstream, "cancel"):
         piped.upstream = upstream
     return piped
 
 
+def _whole_chain(source: Any, stages: tuple, options: PipeOptions) -> Any:
+    """The chain as one body when *options* ship it to a server
+    (``backend="remote"`` with at least one stage), else None.
+
+    The server re-expands it into a local thread pipeline and streams
+    the final stage's results back over one connection: one socket hop
+    for the chain, not one per stage — and a shape supervision can
+    replay on reconnect."""
+    if options.backend != "remote" or not stages:
+        return None
+    return CoExpression(
+        _remote_pipeline_body, lambda: (source, stages), name=f"pipeline[{len(stages)}]"
+    )
+
+
 def pipeline(
     source: Any,
     *stages: Callable[[Any], Any],
-    capacity: int = 0,
     scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
+    options: PipeOptions | None = None,
+    **knobs: Any,
 ) -> Pipe:
     """Chain *stages* over *source*, one thread per stage.
 
@@ -166,83 +139,25 @@ def pipeline(
 
     The stages are linked for cancellation: when any stage crashes or
     the returned pipe is cancelled, every upstream producer is cancelled
-    too (never orphaned blocked on a full channel).  ``take_timeout``
-    becomes the per-take deadline of every stage, so a stall anywhere in
-    the chain surfaces as :class:`~repro.errors.PipeTimeoutError`.
-    ``batch``/``max_linger`` apply to every stage: each handoff moves up
-    to *batch* elements per lock acquisition (see :class:`Pipe`).
-    ``backend="process"`` crash-isolates the source pipe; the channel-fed
-    stages above it degrade to threads (see :mod:`repro.coexpr.proc`).
+    too (never orphaned blocked on a full channel).
 
-    ``backend="remote"`` ships the **whole chain** to the generator
-    server at *remote_address* as one pipe: the server re-expands it into
-    a local thread pipeline and streams the final stage's results back
-    over a single connection (one socket hop for the chain, not one per
-    stage — and a shape supervision can replay on reconnect).  If the
-    source or any stage cannot be pickled, the pipe degrades to the
-    all-thread form.
-
-    ``deadline`` is normalized once and **shared** by the source and
-    every stage — one end-to-end budget for the chain, not a fresh
-    clock per hop.  ``remote_address`` is normalized the same way: a
-    list of ``(host, port)`` pairs becomes **one**
-    :class:`~repro.net.cluster.ServerPool` shared by the whole chain,
-    so routing memory (suspicion, failover history) is chain-wide.
+    The knob keywords (see the "Pipe options" table in
+    ``docs/language.md``) build one :class:`PipeOptions` that the source
+    and every stage share — so one ``deadline`` budget and one server
+    pool serve the whole chain, and ``take_timeout`` bounds a stall
+    anywhere in it.  ``backend="process"`` isolates the source; the
+    channel-fed stages above it degrade to threads.
+    ``backend="remote"`` ships the whole chain as one body (see
+    :func:`_whole_chain`), which degrades to the all-thread form if the
+    source or a stage does not pickle.
     """
-    deadline = deadline_from(deadline)
-    if backend == "remote" and remote_address is not None:
-        from ..net.cluster import normalize_remote_address
-
-        remote_address = normalize_remote_address(remote_address)
-    if backend == "remote" and stages:
-        return Pipe(
-            CoExpression(
-                _remote_pipeline_body,
-                lambda: (source, tuple(stages)),
-                name=f"pipeline[{len(stages)}]",
-            ),
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
-        )
-    current: Pipe = source_pipe(
-        source,
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
-    )
+    options = options_from(options, knobs)
+    chain = _whole_chain(source, stages, options)
+    if chain is not None:
+        return Pipe(chain, scheduler=scheduler, options=options)
+    current: Pipe = source_pipe(source, scheduler=scheduler, options=options)
     for fn in stages:
-        current = stage(
-            fn,
-            current,
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
-        )
+        current = stage(fn, current, scheduler=scheduler, options=options)
     return current
 
 

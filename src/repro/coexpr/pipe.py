@@ -40,12 +40,15 @@ builds on three hooks here:
   an ``upstream`` pipe so no producer is left blocked on a full channel;
 * lifecycle events (start/cancel/timeout) on the monitor bus.
 
-Crash isolation (:mod:`repro.coexpr.proc`) adds a second execution tier:
-``backend="process"`` runs the worker body in a ``multiprocessing``
-child speaking the same envelope protocol over IPC, with a heartbeat
-watchdog that surfaces :class:`~repro.errors.PipeWorkerLost` instead of
-hanging when the child dies, and graceful degradation back to this
-thread backend when the body cannot cross a process boundary.
+The knobs — the queue bound plus nine more — are one frozen
+:class:`~repro.coexpr.options.PipeOptions`, checked once where it is
+built and shared by every pipe built from it (a pipeline's stages, a
+supervisor's restarts, ``refresh``).  ``backend`` picks the tier that
+runs the producer: this thread, a crash-isolated child process
+(:mod:`repro.coexpr.proc`), a generator server (:mod:`repro.net`) or
+the shared event loop (:mod:`repro.coexpr.aio`).  Each tier speaks the
+same envelopes into ``out``; a body a tier cannot run degrades to this
+thread backend through one path in :meth:`Pipe.start`.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import threading
 import time
 from collections import deque
 from contextlib import nullcontext
+from importlib import import_module
 from typing import Any, Iterator
 
 from ..errors import (
@@ -69,9 +73,9 @@ from ..runtime.iterator import IconIterator
 from .channel import CLOSED, Channel
 from .coalesce import Coalescer
 from .coexpression import CoExpression, coexpr_of
-from .deadline import Deadline, deadline_from
+from .deadline import Deadline
+from .options import DEFAULT_OPTIONS, TIERS, PipeOptions
 from .scheduler import PipeScheduler, WorkerHandle, default_scheduler
-from .wire import _is_number
 
 _UNSET = object()
 #: ``take_many`` bound for an unbatched unbounded pipe: everything queued.
@@ -92,15 +96,10 @@ class Pipe(IconIterator):
     __slots__ = (
         "coexpr",
         "out",
+        "options",
         "capacity",
         "take_timeout",
         "batch",
-        "max_linger",
-        "backend",
-        "heartbeat_interval",
-        "heartbeat_timeout",
-        "mp_context",
-        "remote_address",
         "deadline",
         "upstream",
         "_scheduler",
@@ -108,9 +107,7 @@ class Pipe(IconIterator):
         "_start_lock",
         "_cancelled",
         "_worker",
-        "_process_worker",
-        "_remote_worker",
-        "_async_worker",
+        "_tier_worker",
         "_degraded",
         "_errored",
         "_pending",
@@ -127,130 +124,44 @@ class Pipe(IconIterator):
         expr: Any,
         capacity: int = 0,
         scheduler: PipeScheduler | None = None,
-        take_timeout: float | None = None,
-        batch: int = 1,
-        max_linger: float | None = None,
-        backend: str = "thread",
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        mp_context: Any = None,
-        remote_address: Any = None,
-        deadline: Any = None,
+        *,
+        options: PipeOptions | None = None,
+        **knobs: Any,
     ) -> None:
         """Wrap *expr* (a co-expression, iterator node, generator factory,
-        or iterable) in a threaded proxy with an output channel of
-        *capacity* (0 = unbounded; see the module docstring for how each
-        kind is drained).  ``take_timeout`` is the default deadline
-        applied to every :meth:`take` (None = wait forever).
+        or iterable) in a threaded proxy whose output channel holds
+        *capacity* results (0 = unbounded; see the module docstring for
+        how each kind is drained).
 
-        ``batch`` > 1 turns on batched transport: the worker coalesces up
-        to that many results and moves them through the channel as one
-        slice (``put_many``); :meth:`take` transparently unbatches, so
-        consumers see identical element-at-a-time semantics.  The channel
-        still holds individual items — ``capacity`` keeps counting
-        elements and ``pipe.out`` stays wire-compatible.  ``max_linger``
-        bounds how long (seconds) a partial batch may sit in the worker's
-        buffer: setting it spawns a flusher thread alongside the worker
-        that delivers aged partial batches even while the producer is
-        blocked computing its next result — a slow producer can delay its
-        *own* results, never ones already produced.  A partial batch is
-        always flushed on exhaustion, crash (data first, then the error),
-        and close.
-
-        ``backend`` selects the execution tier: ``"thread"`` (the paper's
-        shape) or ``"process"`` — the body runs in a ``multiprocessing``
-        child (crash-isolated, GIL-free) streaming the same envelopes
-        over IPC, watched by a heartbeat (``heartbeat_interval`` seconds
-        between beats; ``heartbeat_timeout`` until a silent child is
-        declared lost, default 10 intervals).  A body that cannot cross
-        the process boundary degrades to the thread backend with a
-        ``DEGRADED`` monitor event (see :mod:`repro.coexpr.proc`);
-        ``mp_context`` overrides the multiprocessing context (default:
-        fork where available).
-
-        ``backend="remote"`` ships the body to the generator server at
-        ``remote_address`` (a ``(host, port)`` pair — or a **list** of
-        pairs / a :class:`~repro.net.cluster.ServerPool`, the replicated
-        cluster tier: consistent-hash placement plus failover to the
-        next live replica) and streams results back over a socket
-        speaking the same envelopes, watched by the same heartbeat
-        parameters.  A body that cannot be pickled — or a server (every
-        replica, when pooled) that cannot be reached — degrades to the
-        thread backend exactly as the process tier does (see
-        :mod:`repro.net`).
-
-        ``backend="async"`` runs the producer as a coroutine on the
-        shared background event loop (:mod:`repro.coexpr.aio`): the
-        consumer keeps this exact blocking surface, but the producer
-        costs a task instead of a thread, multiplexed with every other
-        async worker on one loop.  Backpressure is cooperative and the
-        body runs in-process, so — unlike process/remote — no body ever
-        degrades.
-
-        ``deadline`` bounds the pipe end to end: seconds of budget (or a
-        shared :class:`~repro.coexpr.deadline.Deadline`).  The budget is
-        checked before every spawn (an expired pipe never forks a child
-        or dials a socket), bounds every :meth:`take`, and propagates to
-        the producer — whichever tier it runs on — so expiry actively
-        tears the worker down (data flushed first, then
-        :class:`~repro.errors.PipeDeadlineExceeded`, then close) instead
-        of leaving it computing for a consumer that gave up.
+        *capacity* and the other knob keywords (``take_timeout``,
+        ``batch``, ``max_linger``, ``backend``, ``heartbeat_interval``,
+        ``heartbeat_timeout``, ``mp_context``, ``remote_address``,
+        ``deadline``) build a :class:`~repro.coexpr.options.PipeOptions`,
+        which checks them; the table in ``docs/language.md`` ("Pipe
+        options") gives each one's default, rule and tiers.  A caller
+        that already holds one passes ``options=`` instead, and it is
+        not checked again.
         """
-        # The generator server's rules (see wire._is_number), so a value
-        # no tier can run fails here rather than on the remote tier only.
-        if type(capacity) is not int or capacity < 0:
-            raise ValueError(f"capacity must be an int >= 0, got {capacity!r}")
-        coalescer = Coalescer(batch, max_linger)  # validates both
-        if backend not in ("thread", "process", "remote", "async"):
-            raise ValueError(
-                "backend must be 'thread', 'process', 'remote', or 'async'"
-            )
-        if backend == "remote":
-            if remote_address is None:
-                raise ValueError("backend='remote' requires remote_address")
-            # One (host, port) pair stays a plain tuple; a list of them
-            # becomes a ServerPool (the cluster tier); an existing pool
-            # passes through so callers that spawn many pipes — restarts,
-            # chunk tasks — can share routing state.
-            from ..net.cluster import normalize_remote_address
-
-            remote_address = normalize_remote_address(remote_address)
-        for field, value in (
-            ("heartbeat_interval", heartbeat_interval),
-            ("heartbeat_timeout", heartbeat_timeout),
-        ):
-            if value is not None and not (_is_number(value) and value > 0):
-                raise ValueError(
-                    f"{field} must be None or a finite number > 0, got {value!r}"
-                )
+        if options is None:
+            if not knobs and type(capacity) is int and capacity == 0:
+                options = DEFAULT_OPTIONS  # a plain ``|>e``: nothing to check
+            else:
+                options = PipeOptions(capacity, **knobs)
+        elif capacity or knobs:
+            raise TypeError("pass options= or the knob keywords, not both")
         super().__init__()
         self.coexpr: CoExpression = coexpr_of(expr)
-        self.capacity = capacity
+        #: The knobs this pipe runs with (frozen; refresh() reuses them).
+        self.options = options
+        # The knobs the take and worker loops read, as plain attributes.
+        self.capacity = options.capacity
         #: The output blocking queue — public, as in the paper.
-        self.out = Channel(capacity)
-        #: Default per-take deadline in seconds (None = block forever).
-        self.take_timeout = take_timeout
-        #: Producer-side coalescing factor (1 = unbatched, the paper's shape).
-        self.batch = batch
-        #: Seconds a partial batch may linger before being flushed.
-        self.max_linger = max_linger
-        #: Execution tier: "thread" or "process" (see the class docstring).
-        self.backend = backend
-        #: Seconds between child liveness beats (process backend).
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else 0.1
-        )
-        #: Seconds of silence before the watchdog declares the worker
-        #: lost (None = 10 heartbeat intervals).
-        self.heartbeat_timeout = heartbeat_timeout
-        #: Multiprocessing context override (None = fork where available).
-        self.mp_context = mp_context
-        #: ``(host, port)`` of the generator server (remote backend) — or
-        #: a :class:`~repro.net.cluster.ServerPool` over several replicas.
-        self.remote_address = remote_address
+        self.out = Channel(options.capacity)
+        self.take_timeout = options.take_timeout
+        self.batch = options.batch
         #: End-to-end budget (shared along pipelines and across
         #: supervised restarts — a retry does not reset the clock).
-        self.deadline: Deadline | None = deadline_from(deadline)
+        self.deadline: Deadline | None = options.deadline
         #: The pipe feeding this one, when built by ``patterns.stage`` —
         #: cancellation propagates through it so a dead stage never
         #: leaves its producer blocked on a full channel.
@@ -260,13 +171,9 @@ class Pipe(IconIterator):
         self._start_lock = threading.Lock()
         self._cancelled = False
         self._worker: WorkerHandle | None = None
-        #: The ProcessWorker when the process backend actually engaged.
-        self._process_worker: Any = None
-        #: The RemoteWorker when the remote backend actually engaged.
-        self._remote_worker: Any = None
-        #: The AsyncWorker when the async backend engaged.
-        self._async_worker: Any = None
-        #: Degradation reason when a process request fell back to threads.
+        #: The process/remote/async worker when that tier engaged.
+        self._tier_worker: Any = None
+        #: Why the requested tier fell back to threads (None if it did not).
         self._degraded: str | None = None
         self._errored = False
         #: Consumer-side buffer: results already taken from ``out`` in a
@@ -278,15 +185,25 @@ class Pipe(IconIterator):
         self._batched_items = 0
         #: The batching rule, shared by whichever in-process tier runs
         #: the producer (thread or async).
-        self._coalescer = coalescer
+        self._coalescer = Coalescer(options.batch, options.max_linger)
         #: Guards the coalescer between the thread worker and its linger
         #: flusher.  None without a flusher (batch=1, or no ``max_linger``):
         #: the worker is then the coalescer's only user and takes no lock.
         self._cond = (
-            threading.Condition() if batch > 1 and max_linger is not None else None
+            threading.Condition()
+            if options.batch > 1 and options.max_linger is not None
+            else None
         )
         self._flusher: WorkerHandle | None = None
         self._producer_done = False
+
+    # The knobs no loop reads, served from the options (read-only).
+    max_linger = property(lambda self: self.options.max_linger)
+    backend = property(lambda self: self.options.backend)
+    heartbeat_interval = property(lambda self: self.options.heartbeat_interval)
+    heartbeat_timeout = property(lambda self: self.options.heartbeat_timeout)
+    mp_context = property(lambda self: self.options.mp_context)
+    remote_address = property(lambda self: self.options.remote_address)
 
     # -- lifecycle events ------------------------------------------------------
 
@@ -307,10 +224,13 @@ class Pipe(IconIterator):
     def start(self) -> "Pipe":
         """Spawn the producer worker (idempotent; no-op once cancelled).
 
-        With ``backend="process"`` this forks the body into a child and
-        submits the pump/watchdog thread; if the body cannot cross the
-        process boundary the pipe degrades to the thread backend in
-        place (``DEGRADED`` monitor event, :attr:`degraded` set).
+        A ``backend`` other than ``"thread"`` is looked up in the backend
+        table (:data:`~repro.coexpr.options.TIERS`) and its start
+        function called: it forks the child, dials the server or
+        schedules the loop task, and returns the worker — or the reason
+        the body cannot run on that tier.  Then the pipe degrades to the
+        thread backend in place, here and nowhere else: :attr:`degraded`
+        names the reason and one ``DEGRADED`` monitor event is emitted.
 
         An already-expired deadline short-circuits *before* any spawn —
         no child is forked and no socket is dialed past budget; the pipe
@@ -326,36 +246,19 @@ class Pipe(IconIterator):
                 return self
             self._started = True
         scheduler = self._scheduler or default_scheduler()
-        if self.backend == "process":
-            from .proc import start_process_worker
-
-            worker = start_process_worker(self, scheduler)
-            if worker is not None:
-                self._process_worker = worker
+        tier = TIERS.get(self.options.backend)
+        if tier is not None:
+            module, starter = tier
+            worker = getattr(import_module(module), starter)(self, scheduler)
+            if not isinstance(worker, str):
+                self._tier_worker = worker
                 self._worker = worker.handle
                 self._emit(EventKind.START)
                 return self
-            # Degraded: fall through to the thread backend below.
-        elif self.backend == "remote":
-            from ..net.client import start_remote_worker
-
-            worker = start_remote_worker(self, scheduler)
-            if worker is not None:
-                self._remote_worker = worker
-                self._worker = worker.handle
-                self._emit(EventKind.START)
-                return self
-            # Degraded: fall through to the thread backend below.
-        elif self.backend == "async":
-            from .aio import start_async_worker
-
-            worker = start_async_worker(self, scheduler)
-            if worker is not None:
-                self._async_worker = worker
-                self._worker = worker.handle
-                self._emit(EventKind.START)
-                return self
-            # Degraded: fall through to the thread backend below.
+            # The one degrade-to-threads path: record why, then fall
+            # through to the thread worker below.
+            self._degraded = worker
+            self._emit(EventKind.DEGRADED, worker)
         self._worker = scheduler.submit(self._run, name=f"pipe-{self.coexpr.name}")
         if self._cond is not None:
             self._flusher = scheduler.submit(
@@ -591,15 +494,11 @@ class Pipe(IconIterator):
             self._emit(EventKind.CANCEL)
             self.out.close()
             self.coexpr.close()
-            process_worker = self._process_worker
-            if process_worker is not None:
-                process_worker.terminate()  # the pump reaps and untracks
-            remote_worker = self._remote_worker
-            if remote_worker is not None:
-                remote_worker.terminate()  # sends cancel, closes the socket
-            async_worker = self._async_worker
-            if async_worker is not None:
-                async_worker.terminate()  # cancels the loop task
+            tier_worker = self._tier_worker
+            if tier_worker is not None:
+                # Process: signal the child (the pump reaps it); remote:
+                # send cancel and close the socket; async: cancel the task.
+                tier_worker.terminate()
             self._cancel_upstream()
         worker = self._worker
         if worker is None:
@@ -614,20 +513,9 @@ class Pipe(IconIterator):
 
     def refresh(self) -> "Pipe":
         """``^p`` — a new pipe over a refreshed copy of the co-expression."""
-        return Pipe(
-            self.coexpr.refresh(),
-            self.capacity,
-            self._scheduler,
-            take_timeout=self.take_timeout,
-            batch=self.batch,
-            max_linger=self.max_linger,
-            backend=self.backend,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            mp_context=self.mp_context,
-            remote_address=self.remote_address,
-            deadline=self.deadline,  # the same budget: a refresh is not a reset
-        )
+        # The same options: the same budget (a refresh is not a reset)
+        # and the same server pool.
+        return Pipe(self.coexpr.refresh(), scheduler=self._scheduler, options=self.options)
 
     @property
     def batch_stats(self) -> dict:

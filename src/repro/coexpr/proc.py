@@ -54,6 +54,7 @@ from ..errors import ChannelClosedError, PipeDeadlineExceeded, PipeWorkerLost
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from .coalesce import Coalescer
 from .deadline import Deadline
+from .options import POLL_SLICE
 from .wire import (
     WIRE_BEAT,
     WIRE_CLOSE,
@@ -66,15 +67,6 @@ from .wire import (
 #: Exit code used by fault injection (``FaultPlan.kill_stage``) so tests
 #: can tell a deliberate chaos kill from an accidental one.
 KILLED_EXIT = 173
-
-#: Default seconds between child liveness beats.
-DEFAULT_HEARTBEAT_INTERVAL = 0.1
-
-#: With ``heartbeat_timeout=None`` the deadline is this many intervals.
-_TIMEOUT_INTERVALS = 10.0
-
-#: How often the pump re-checks cancellation while idle on the connection.
-_POLL_SLICE = 0.05
 
 #: Grace given to a terminated child before escalating to SIGKILL —
 #: SIGTERM cannot reap a SIGSTOP-ed (hung) child, SIGKILL always can.
@@ -292,13 +284,10 @@ class ProcessWorker:
     )
 
     def __init__(self, pipe: Any, scheduler: Any, ctx: Any) -> None:
-        interval = pipe.heartbeat_interval
-        timeout = pipe.heartbeat_timeout
-        if timeout is None:
-            timeout = max(_TIMEOUT_INTERVALS * interval, 1.0)
+        options = pipe.options
         self.pipe = pipe
         self.scheduler = scheduler
-        self.heartbeat_timeout = timeout
+        self.heartbeat_timeout = options.beat_timeout
         self.handle = None
         #: The loss reason once the watchdog fired (None while healthy).
         self.lost: PipeWorkerLost | None = None
@@ -311,9 +300,9 @@ class ProcessWorker:
                 coexpr._factory,
                 coexpr._env,
                 coexpr.name,
-                pipe.batch,
-                pipe.max_linger,
-                interval,
+                options.batch,
+                options.max_linger,
+                options.beat_interval,
                 None if pipe.deadline is None else pipe.deadline.remaining(),
             ),
             name=f"repro-proc-{coexpr.name}",
@@ -364,7 +353,7 @@ class ProcessWorker:
                 if pipe._cancelled:
                     return
                 try:
-                    ready = conn.poll(_POLL_SLICE)
+                    ready = conn.poll(POLL_SLICE)
                 except (OSError, ValueError):
                     ready = False  # connection torn down under us
                 if ready:
@@ -454,60 +443,37 @@ class ProcessWorker:
         return self.handle is not None and self.handle.is_alive()
 
 
-def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | None:
-    """Spawn *pipe*'s body in a child process; None means *degrade*.
+def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | str:
+    """Spawn *pipe*'s body in a child process.
 
     Returns a running :class:`ProcessWorker` (child started, pump
-    submitted, process tracked by *scheduler*) — or None after emitting a
-    ``DEGRADED`` monitor event, in which case the caller falls back to
-    the thread backend.  Scheduler shutdown is **not** degradation: a
-    submit racing shutdown propagates
-    :class:`~repro.errors.SchedulerShutdownError`, exactly as the thread
-    backend does.
+    submitted, process tracked by *scheduler*) — or the reason the body
+    cannot run in a child, and :meth:`Pipe.start` degrades to the thread
+    backend.  Scheduler shutdown is **not** degradation: a submit racing
+    shutdown propagates :class:`~repro.errors.SchedulerShutdownError`,
+    exactly as the thread backend does.
     """
-    ctx = pipe.mp_context or default_context()
+    ctx = pipe.options.mp_context or default_context()
     reason = spawn_unsafe_reason(pipe, ctx)
-    if reason is None:
-        worker = ProcessWorker(pipe, scheduler, ctx)
-        scheduler.track_process(worker.process)  # raises after shutdown
-        try:
-            worker.process.start()
-        except OSError as error:
-            scheduler.untrack_process(worker.process)
-            reason = f"process spawn failed: {error!r}"
-        else:
-            try:
-                worker.handle = scheduler.submit(
-                    worker.pump, name=f"pump-{pipe.coexpr.name}"
-                )
-            except BaseException:
-                worker._reap()
-                raise
-            if lifecycle_enabled():
-                emit_lifecycle(
-                    Event(
-                        EventKind.SPAWN,
-                        f"pipe:{pipe.coexpr.name}",
-                        0,
-                        {"pid": worker.process.pid},
-                    )
-                )
-                if pipe.deadline is not None:
-                    emit_lifecycle(
-                        Event(
-                            EventKind.DEADLINE_PROPAGATED,
-                            f"pipe:{pipe.coexpr.name}",
-                            0,
-                            {
-                                "remaining": pipe.deadline.remaining(),
-                                "transport": "process",
-                            },
-                        )
-                    )
-            return worker
-    pipe._degraded = reason
+    if reason is not None:
+        return reason
+    worker = ProcessWorker(pipe, scheduler, ctx)
+    scheduler.track_process(worker.process)  # raises after shutdown
+    try:
+        worker.process.start()
+    except OSError as error:
+        scheduler.untrack_process(worker.process)
+        return f"process spawn failed: {error!r}"
+    try:
+        worker.handle = scheduler.submit(worker.pump, name=f"pump-{pipe.coexpr.name}")
+    except BaseException:
+        worker._reap()
+        raise
     if lifecycle_enabled():
-        emit_lifecycle(
-            Event(EventKind.DEGRADED, f"pipe:{pipe.coexpr.name}", 0, reason)
-        )
-    return None
+        pipe._emit(EventKind.SPAWN, {"pid": worker.process.pid})
+        if pipe.deadline is not None:
+            pipe._emit(
+                EventKind.DEADLINE_PROPAGATED,
+                {"remaining": pipe.deadline.remaining(), "transport": "process"},
+            )
+    return worker

@@ -51,7 +51,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator
 
 from ..errors import (
@@ -65,7 +65,7 @@ from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 from .coexpression import CoExpression, coexpr_of
 from .dataparallel import apply_mapped, iter_source
-from .deadline import deadline_from
+from .options import PipeOptions, options_from
 from .pipe import Pipe
 from .scheduler import PipeScheduler
 
@@ -470,16 +470,8 @@ class SupervisedPipe(IconIterator):
         "name",
         "max_retries",
         "backoff",
-        "capacity",
+        "options",
         "take_timeout",
-        "batch",
-        "max_linger",
-        "backend",
-        "heartbeat_interval",
-        "heartbeat_timeout",
-        "mp_context",
-        "remote_address",
-        "deadline",
         "restart",
         "upstream",
         "_scheduler",
@@ -500,22 +492,24 @@ class SupervisedPipe(IconIterator):
         *,
         max_retries: int = 3,
         backoff: BackoffPolicy | None = None,
-        capacity: int = 0,
         scheduler: PipeScheduler | None = None,
-        take_timeout: float | None = None,
-        batch: int = 1,
-        max_linger: float | None = None,
-        backend: str = "thread",
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        mp_context: Any = None,
-        remote_address: Any = None,
-        deadline: Any = None,
         sleep: Callable[[float], None] = time.sleep,
         restart: str = "replay",
         upstream: Any = None,
         name: str | None = None,
+        options: PipeOptions | None = None,
+        **knobs: Any,
     ) -> None:
+        """The knob keywords (or one ``options=``) are :class:`Pipe`'s —
+        see the "Pipe options" table in ``docs/language.md`` — and every
+        (re)spawned pipe runs with the one :class:`PipeOptions` they
+        build.  So restarts share one ``deadline`` (a retry burns the
+        same budget) and one server pool (suspicion and failover memory
+        survive the refresh, so a reconnect does not re-dial the replica
+        that just died).  With ``backend="process"`` a lost child, and
+        with ``backend="remote"`` a lost connection, is a retryable
+        fault like any producer crash: the restart respawns or
+        reconnects."""
         if restart not in ("replay", "resume"):
             raise ValueError("restart must be 'replay' or 'resume'")
         if max_retries < 0:
@@ -525,32 +519,8 @@ class SupervisedPipe(IconIterator):
         self.name = name or self._coexpr.name
         self.max_retries = max_retries
         self.backoff = backoff or BackoffPolicy()
-        self.capacity = capacity
-        self.take_timeout = take_timeout
-        self.batch = batch
-        self.max_linger = max_linger
-        #: Worker tier for every (re)spawned pipe — "process" gives
-        #: crash isolation: a lost child is a retryable fault, and the
-        #: restart respawns a fresh process (see repro.coexpr.proc);
-        #: "remote" gives the same contract over a socket: a lost
-        #: connection (PipeConnectionLost) consumes a retry and the
-        #: restart reconnects to remote_address (see repro.net).
-        self.backend = backend
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.mp_context = mp_context
-        if backend == "remote" and remote_address is not None:
-            # Normalize ONCE (list -> ServerPool) so every restart
-            # shares the same pool object: suspicion and failover
-            # memory must survive the refresh, or a reconnect would
-            # happily re-dial the replica that just died.
-            from ..net.cluster import normalize_remote_address
-
-            remote_address = normalize_remote_address(remote_address)
-        self.remote_address = remote_address
-        #: One normalized Deadline shared by every (re)spawned pipe:
-        #: restarts burn the same budget, never a fresh one.
-        self.deadline = deadline_from(deadline)
+        self.options = options = options_from(options, knobs)
+        self.take_timeout = options.take_timeout
         self.restart = restart
         #: Optional upstream pipe to cancel when supervision gives up
         #: (exhaust) or is cancelled — keeps the producer chain leak-free.
@@ -568,20 +538,7 @@ class SupervisedPipe(IconIterator):
         self._cancelled = False
 
     def _make_pipe(self) -> Pipe:
-        return Pipe(
-            self._coexpr,
-            capacity=self.capacity,
-            scheduler=self._scheduler,
-            take_timeout=self.take_timeout,
-            batch=self.batch,
-            max_linger=self.max_linger,
-            backend=self.backend,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            mp_context=self.mp_context,
-            remote_address=self.remote_address,
-            deadline=self.deadline,
-        )
+        return Pipe(self._coexpr, scheduler=self._scheduler, options=self.options)
 
     # -- lifecycle events -----------------------------------------------------
 
@@ -705,59 +662,18 @@ class SupervisedPipe(IconIterator):
         )
 
 
-def supervise(
-    expr: Any,
-    *,
-    max_retries: int = 3,
-    backoff: BackoffPolicy | None = None,
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
-    sleep: Callable[[float], None] = time.sleep,
-    restart: str = "replay",
-    name: str | None = None,
-) -> SupervisedPipe:
+def supervise(expr: Any, **kwargs: Any) -> SupervisedPipe:
     """``|>`` with a restart budget: wrap *expr* in a supervised pipe.
 
-    *expr* is anything :func:`~repro.coexpr.coexpr_of` accepts.  See
-    :class:`SupervisedPipe` for the restart-mode semantics; the default
-    ``"replay"`` suits self-contained deterministic sources.  With
-    ``backend="process"`` the producer runs crash-isolated in a child
-    process and a lost worker (:class:`~repro.errors.PipeWorkerLost`)
-    consumes a retry like any other producer crash.  With
-    ``backend="remote"`` the producer runs on the generator server at
-    *remote_address* and a lost connection
-    (:class:`~repro.errors.PipeConnectionLost`) consumes a retry the
-    same way — the restart reconnects and, in ``"replay"`` mode, skips
-    already-delivered results.
+    *expr* is anything :func:`~repro.coexpr.coexpr_of` accepts; the
+    keywords are :class:`SupervisedPipe`'s: the supervision ones plus
+    the pipe knobs of the "Pipe options" table in ``docs/language.md``.
+    See :class:`SupervisedPipe` for the restart-mode semantics; the
+    default ``"replay"`` suits self-contained deterministic sources, and
+    skips already-delivered results after a restart — a respawned child
+    or a reconnected server session included.
     """
-    return SupervisedPipe(
-        expr,
-        max_retries=max_retries,
-        backoff=backoff,
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
-        sleep=sleep,
-        restart=restart,
-        name=name,
-    )
+    return SupervisedPipe(expr, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -768,23 +684,10 @@ def supervised_stage(
     fn: Callable[[Any], Any],
     upstream: Any,
     *,
-    max_retries: int = 3,
-    backoff: BackoffPolicy | None = None,
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
-    sleep: Callable[[float], None] = time.sleep,
     fault_plan: FaultPlan | None = None,
     stage_key: Any = None,
     name: str | None = None,
+    **kwargs: Any,
 ) -> SupervisedPipe:
     """One pipeline stage whose crashes are retried in place.
 
@@ -793,7 +696,8 @@ def supervised_stage(
     the refreshed body picks up wherever the upstream is now.  An item
     the body had taken but not finished processing when it crashed is
     charged to that attempt (at-most-once per item); faults injected at
-    body start (the :class:`FaultPlan` default) lose nothing.
+    body start (the :class:`FaultPlan` default) lose nothing.  The other
+    keywords are :class:`SupervisedPipe`'s.
 
     ``backend="process"`` is accepted but a channel-fed stage (a live
     upstream pipe in its environment) cannot cross a process boundary,
@@ -828,24 +732,7 @@ def supervised_stage(
         body, lambda: (shared, fault_plan, key), name=stage_name
     )
     return SupervisedPipe(
-        coexpr,
-        max_retries=max_retries,
-        backoff=backoff,
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
-        sleep=sleep,
-        restart="resume",
-        upstream=up_pipe,
-        name=stage_name,
+        coexpr, restart="resume", upstream=up_pipe, name=stage_name, **kwargs
     )
 
 
@@ -854,28 +741,22 @@ def supervised_pipeline(
     *stages: Callable[[Any], Any],
     max_retries: int = 3,
     backoff: BackoffPolicy | None = None,
-    capacity: int = 0,
     scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
     sleep: Callable[[float], None] = time.sleep,
     fault_plan: FaultPlan | None = None,
+    options: PipeOptions | None = None,
+    **knobs: Any,
 ) -> Any:
     """:func:`~repro.coexpr.patterns.pipeline` with supervised stages.
 
     Each stage gets its own restart budget; stage keys for the fault
     plan are the 1-based stage indices (0 is the unsupervised source).
     Cancellation propagates the whole chain: cancelling the returned
-    pipe tears every stage and the source down.  ``backend="process"``
-    crash-isolates the source; channel-fed stages degrade to threads
-    per the rules in :mod:`repro.coexpr.proc`.
+    pipe tears every stage and the source down.  The knob keywords
+    build one :class:`PipeOptions` shared by the source and every stage,
+    as in ``pipeline``.  ``backend="process"`` crash-isolates the
+    source; channel-fed stages degrade to threads per the rules in
+    :mod:`repro.coexpr.proc`.
 
     ``backend="remote"`` supervises the chain as **one** remote pipe
     over the whole-pipeline body (the shape
@@ -889,68 +770,35 @@ def supervised_pipeline(
     this shape; inject faults in the stage functions or kill server
     sessions instead.)
     """
-    from .patterns import _remote_pipeline_body, source_pipe
+    from .patterns import _whole_chain, source_pipe
 
-    # Normalize once: the source and every stage share ONE budget — the
-    # deadline is end-to-end, not per stage.
-    deadline = deadline_from(deadline)
-    if backend == "remote" and stages:
-        coexpr = CoExpression(
-            _remote_pipeline_body,
-            lambda: (source, tuple(stages)),
-            name=f"pipeline[{len(stages)}]",
-        )
-        return SupervisedPipe(
-            coexpr,
-            max_retries=max_retries,
-            backoff=backoff,
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
-            sleep=sleep,
-            restart="replay",
-        )
+    options = options_from(options, knobs)
+    supervision = {
+        "max_retries": max_retries,
+        "backoff": backoff,
+        "scheduler": scheduler,
+        "sleep": sleep,
+        "options": options,
+    }
+    chain = _whole_chain(source, stages, options)
+    if chain is not None:
+        return SupervisedPipe(chain, restart="replay", **supervision)
+    # The source runs without take_timeout.  Only stage 1's body takes
+    # from it, inside a worker, and a timeout raised there ends that
+    # body: the consumer would see one timeout and then the end of the
+    # stream, with the rest of the source lost.  The stages' own
+    # take_timeout bounds every wait the consumer makes and leaves the
+    # chain usable after a timeout.
     current: Any = source_pipe(
-        source,
-        capacity=capacity,
-        scheduler=scheduler,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
+        source, scheduler=scheduler, options=replace(options, take_timeout=None)
     )
     for index, fn in enumerate(stages, start=1):
         current = supervised_stage(
             fn,
             current,
-            max_retries=max_retries,
-            backoff=backoff,
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
-            sleep=sleep,
             fault_plan=fault_plan,
             stage_key=index,
             name=f"stage-{index}:{getattr(fn, '__name__', 'fn')}",
+            **supervision,
         )
     return current

@@ -5,7 +5,7 @@ Two entry points share one transport:
 * :func:`start_remote_worker` — the hook :meth:`Pipe.start` calls for
   ``backend="remote"``: ship the pipe's own ``(factory, env)`` body to
   the generator server and pump the result stream into the pipe's
-  channel (or return None to degrade to the thread backend);
+  channel (or return why it cannot, and the pipe degrades to threads);
 * :class:`RemotePipe` — an :class:`~repro.runtime.iterator.IconIterator`
   proxy over a factory the *server* registered by name, for bodies that
   only exist on the far side.
@@ -52,8 +52,7 @@ import time
 from typing import Any, Iterator
 
 from ..coexpr.channel import CLOSED, Channel
-from ..coexpr.coalesce import Coalescer
-from ..coexpr.deadline import deadline_from
+from ..coexpr.options import POLL_SLICE, PipeOptions
 from ..coexpr.proc import body_portability_reason
 from ..coexpr.scheduler import PipeScheduler, default_scheduler
 from ..coexpr.wire import (
@@ -85,12 +84,8 @@ from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 
-#: Receive poll slice — bounds cancel/watchdog latency, not throughput.
-_POLL_SLICE = 0.05
 #: TCP connect timeout before degrading (or failing a RemotePipe).
 _CONNECT_TIMEOUT = 5.0
-#: Watchdog default: this many silent heartbeat intervals = a dead session.
-_TIMEOUT_INTERVALS = 10
 
 #: Consecutive failures (sheds or connection losses) that trip a breaker.
 _BREAKER_THRESHOLD = 3
@@ -223,6 +218,21 @@ def reset_breakers() -> None:
     reset_shared_health()
 
 
+def _pickled_body(pipe: Any) -> bytes | str:
+    """*pipe*'s ``(factory, env)`` body as the request ships it, or the
+    reason it cannot be shipped (a string)."""
+    reason = body_portability_reason(pipe)
+    if reason is not None:
+        return reason
+    coexpr = pipe.coexpr
+    try:
+        return pickle.dumps(
+            (coexpr._factory, coexpr._env), protocol=pickle.HIGHEST_PROTOCOL
+        )
+    except Exception as error:  # noqa: BLE001 - any pickle failure degrades
+        return f"body not picklable for remote execution: {error!r}"
+
+
 def remote_unsafe_reason(pipe: Any) -> str | None:
     """Why *pipe*'s body cannot be shipped to a server (None = it can).
 
@@ -230,15 +240,8 @@ def remote_unsafe_reason(pipe: Any) -> str | None:
     ``(factory, env)`` payload must *always* pickle — unlike a forked
     child, the server never shares memory with the client.
     """
-    reason = body_portability_reason(pipe)
-    if reason is not None:
-        return reason
-    coexpr = pipe.coexpr
-    try:
-        pickle.dumps((coexpr._factory, coexpr._env))
-    except Exception as error:  # noqa: BLE001 - any pickle failure degrades
-        return f"body not picklable for remote execution: {error!r}"
-    return None
+    body = _pickled_body(pipe)
+    return body if isinstance(body, str) else None
 
 
 #: In-flight workers indexed by server address, so a membership tier's
@@ -268,9 +271,9 @@ def drain_address(address: Any, reason: str) -> int:
     a replica dead (:meth:`~repro.net.cluster.ServerPool.mark_down`)
     already *knows* the streams on it are doomed — without this, each
     one still blocks out its own heartbeat watchdog (up to
-    ``_TIMEOUT_INTERVALS`` silent intervals) before failing over.
+    ``TIMEOUT_INTERVALS`` silent intervals) before failing over.
     Closing the framer under the pump's blocked receive surfaces an
-    ``OSError`` within one ``_POLL_SLICE``; the stashed *reason* makes
+    ``OSError`` within one ``POLL_SLICE``; the stashed *reason* makes
     the loss verdict say "probe declared the server dead" rather than
     the bare transport error the forced close produced.  Returns how
     many workers were woken.
@@ -321,10 +324,6 @@ class RemoteWorker:
         name: str,
         request: tuple,
     ) -> None:
-        interval = owner.heartbeat_interval
-        timeout = owner.heartbeat_timeout
-        if timeout is None:
-            timeout = max(_TIMEOUT_INTERVALS * interval, 1.0)
         self.owner = owner
         self.scheduler = scheduler
         self.framer = SocketFramer(sock)
@@ -333,7 +332,7 @@ class RemoteWorker:
         self.request = request
         #: Credit window: the channel capacity (None = unbounded).
         self.window: int | None = owner.capacity or None
-        self.heartbeat_timeout = timeout
+        self.heartbeat_timeout = owner.options.beat_timeout
         self.handle: Any = None
         #: The loss verdict once the watchdog fired (None while healthy).
         self.lost: PipeConnectionLost | None = None
@@ -378,7 +377,7 @@ class RemoteWorker:
                 EventKind.DEADLINE_PROPAGATED,
                 {"remaining": remaining, "transport": "remote"},
             )
-        self.framer.sock.settimeout(_POLL_SLICE)
+        self.framer.sock.settimeout(POLL_SLICE)
 
     # -- pump / watchdog -------------------------------------------------------
 
@@ -708,14 +707,15 @@ def _dial_pooled(
     )
 
 
-def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | None:
-    """Ship *pipe*'s body to its generator server; None means *degrade*.
+def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
+    """Ship *pipe*'s body to its generator server.
 
     Returns a running :class:`RemoteWorker` (connected, request sent,
-    pump submitted, session tracked by *scheduler*) — or None after
-    emitting a ``DEGRADED`` monitor event, in which case the caller
-    falls back to the thread backend.  Scheduler shutdown is **not**
-    degradation: it propagates
+    pump submitted, session tracked by *scheduler*) — or the reason the
+    body cannot run there (it does not travel, or no server can be
+    reached), and :meth:`Pipe.start` degrades to the thread backend.
+    The body is pickled once, for the request.  Scheduler shutdown is
+    **not** degradation: it propagates
     :class:`~repro.errors.SchedulerShutdownError` exactly as the other
     backends do.
 
@@ -724,56 +724,43 @@ def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | None:
     requests run on the thread tier instead of feeding a reconnect
     storm; the breaker's half-open probe decides when to go back.
     """
-    reason = remote_unsafe_reason(pipe)
-    if reason is None:
-        address = pipe.remote_address
-        pooled = hasattr(address, "dial_candidates")
-        breaker = None if pooled else breaker_for(address)
-        if breaker is not None and not breaker.allow():
-            reason = (
-                f"circuit breaker open for {address!r} "
-                f"(probe in {breaker.remaining():.2f}s)"
-            )
-        else:
-            coexpr = pipe.coexpr
-            request = (
-                WIRE_SPAWN,
-                {
-                    "body": pickle.dumps(
-                        (coexpr._factory, coexpr._env),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ),
-                    "name": coexpr.name,
-                    "batch": pipe.batch,
-                    "max_linger": pipe.max_linger,
-                    "heartbeat_interval": pipe.heartbeat_interval,
-                    "quota": True,
-                },
-            )
-            if pooled:
-                # Cluster tier: per-replica breakers are consulted
-                # inside the candidate walk; only a fleet-wide refusal
-                # degrades (replica -> next replica -> threads).
-                try:
-                    return _dial_pooled(
-                        pipe, scheduler, address, coexpr.name, request
-                    )
-                except PipeConnectionLost as error:
-                    reason = str(error)
-            else:
-                try:
-                    return _connect_worker(
-                        pipe, scheduler, address, coexpr.name, request
-                    )
-                except (OSError, EOFError) as error:
-                    breaker.record_failure()
-                    reason = f"connect to {address!r} failed: {error!r}"
-    pipe._degraded = reason
-    if lifecycle_enabled():
-        emit_lifecycle(
-            Event(EventKind.DEGRADED, f"pipe:{pipe.coexpr.name}", 0, reason)
+    body = _pickled_body(pipe)
+    if isinstance(body, str):
+        return body
+    options = pipe.options
+    address = options.remote_address
+    pooled = hasattr(address, "dial_candidates")
+    breaker = None if pooled else breaker_for(address)
+    if breaker is not None and not breaker.allow():
+        return (
+            f"circuit breaker open for {address!r} "
+            f"(probe in {breaker.remaining():.2f}s)"
         )
-    return None
+    name = pipe.coexpr.name
+    request = (
+        WIRE_SPAWN,
+        {
+            "body": body,
+            "name": name,
+            "batch": options.batch,
+            "max_linger": options.max_linger,
+            "heartbeat_interval": options.beat_interval,
+            "quota": True,
+        },
+    )
+    if pooled:
+        # Cluster tier: per-replica breakers are consulted inside the
+        # candidate walk; only a fleet-wide refusal degrades (replica ->
+        # next replica -> threads).
+        try:
+            return _dial_pooled(pipe, scheduler, address, name, request)
+        except PipeConnectionLost as error:
+            return str(error)
+    try:
+        return _connect_worker(pipe, scheduler, address, name, request)
+    except (OSError, EOFError) as error:
+        breaker.record_failure()
+        return f"connect to {address!r} failed: {error!r}"
 
 
 class RemotePipe(IconIterator):
@@ -796,12 +783,10 @@ class RemotePipe(IconIterator):
         "address",
         "factory_name",
         "args",
+        "options",
         "capacity",
         "out",
         "take_timeout",
-        "batch",
-        "heartbeat_interval",
-        "heartbeat_timeout",
         "deadline",
         "upstream",
         "_scheduler",
@@ -824,26 +809,28 @@ class RemotePipe(IconIterator):
         heartbeat_timeout: float | None = None,
         deadline: Any = None,
     ) -> None:
-        Coalescer(batch)  # the server's rule, checked before dialing
+        # Pipe's rules, checked before dialing.  A list of replicas
+        # becomes a ServerPool; a single (host, port) stays a tuple; an
+        # existing pool is shared (routing memory — suspicion, failover
+        # history — persists across refresh()).
+        self.options = options = PipeOptions(
+            capacity=capacity,
+            take_timeout=take_timeout,
+            batch=batch,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            remote_address=address,
+            deadline=deadline,
+        )
         super().__init__()
-        from .cluster import normalize_remote_address
-
-        # A list of replicas becomes a ServerPool; a single (host, port)
-        # stays a tuple; an existing pool is shared (routing memory —
-        # suspicion, failover history — persists across refresh()).
-        self.address = normalize_remote_address(address)
+        self.address = options.remote_address
         self.factory_name = name
         self.args = tuple(args)
         self.capacity = capacity
         self.out = Channel(capacity)
         self.take_timeout = take_timeout
-        self.batch = batch
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else 0.1
-        )
-        self.heartbeat_timeout = heartbeat_timeout
         #: End-to-end budget; shipped to the server in the handshake.
-        self.deadline = deadline_from(deadline)
+        self.deadline = options.deadline
         self.upstream: Any = None
         self._scheduler = scheduler
         self._worker: RemoteWorker | None = None
@@ -903,9 +890,9 @@ class RemotePipe(IconIterator):
             {
                 "name": self.factory_name,
                 "args": self.args,
-                "batch": self.batch,
+                "batch": self.options.batch,
                 "max_linger": None,
-                "heartbeat_interval": self.heartbeat_interval,
+                "heartbeat_interval": self.options.beat_interval,
                 "quota": True,
             },
         )
@@ -970,6 +957,7 @@ class RemotePipe(IconIterator):
 
     def refresh(self) -> "RemotePipe":
         """A sibling proxy: a fresh connection replaying the factory."""
+        options = self.options
         return RemotePipe(
             self.address,
             self.factory_name,
@@ -977,9 +965,9 @@ class RemotePipe(IconIterator):
             capacity=self.capacity,
             scheduler=self._scheduler,
             take_timeout=self.take_timeout,
-            batch=self.batch,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
+            batch=options.batch,
+            heartbeat_interval=options.heartbeat_interval,
+            heartbeat_timeout=options.heartbeat_timeout,
             deadline=self.deadline,  # the same budget: a refresh is not a reset
         )
 

@@ -88,7 +88,7 @@ _ACCEPT_SLICE = 0.2
 _CREDIT_SLICE = 0.1
 #: A client that leaves a frame half-sent for this many heartbeat
 #: intervals is dead: the session is killed (the server-side mirror of
-#: the client watchdog's ``_TIMEOUT_INTERVALS``).
+#: the client watchdog's ``TIMEOUT_INTERVALS`` in repro.coexpr.options).
 _STALL_INTERVALS = 10
 #: How long a shed connection's lingering half-close drains the
 #: client's in-flight handshake before the socket is abandoned.

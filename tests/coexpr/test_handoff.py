@@ -16,8 +16,8 @@ on each take.  These tests pin what that must not cost:
 * **lock-step** — a capacity-k producer never runs more than k results
   ahead of its consumer;
 * **validation** — ``Pipe`` rejects, on every backend, the tuning values
-  the generator server would reject, and so do ``AsyncPipe`` and
-  ``DataParallel`` for the batching fields they take.
+  the generator server would reject, and so do ``AsyncPipe``,
+  ``RemotePipe`` and ``DataParallel`` for the fields they take.
 
 ``REPRO_HYPOTHESIS_EXAMPLES`` scales the example count (default 40).
 """
@@ -40,6 +40,7 @@ from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.pipe import Pipe
 from repro.errors import ChannelClosedError, PipeDeadlineExceeded
+from repro.net.client import RemotePipe
 from repro.runtime.failure import FAIL
 
 EXAMPLES = int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "40"))
@@ -260,7 +261,8 @@ BAD_VALUES = [
 ]
 
 
-# AsyncPipe and DataParallel take the batching fields too.
+# AsyncPipe, RemotePipe and DataParallel take some of these fields too,
+# and reject them when built, not when the first worker starts.
 CASES = (
     [(field, value, backend) for field, value in BAD_VALUES for backend in BACKENDS]
     + [(field, value, "AsyncPipe") for field, value in BAD_VALUES if field == "batch"]
@@ -268,6 +270,18 @@ CASES = (
         (field, value, "DataParallel")
         for field, value in BAD_VALUES
         if field in ("batch", "max_linger")
+    ]
+    + [
+        ("capacity", 2.5, "AsyncPipe"),
+        ("capacity", True, "AsyncPipe"),
+        ("capacity", 2.5, "RemotePipe"),
+        ("heartbeat_interval", math.nan, "RemotePipe"),
+        ("heartbeat_timeout", math.nan, "RemotePipe"),
+        ("capacity", -1, "DataParallel"),
+        ("capacity", 2.5, "DataParallel"),
+        ("heartbeat_interval", math.nan, "DataParallel"),
+        ("heartbeat_timeout", math.nan, "DataParallel"),
+        ("backend", "remote", "DataParallel"),  # no remote_address
     ]
 )
 
@@ -277,6 +291,8 @@ def test_pipe_rejects_what_the_server_rejects(field, value, backend):
     with pytest.raises(ValueError, match=field):
         if backend == "AsyncPipe":
             AsyncPipe(counted(3), **{field: value})
+        elif backend == "RemotePipe":
+            RemotePipe(("127.0.0.1", 1), "never-dialed", **{field: value})
         elif backend == "DataParallel":
             DataParallel(**{field: value})
         else:

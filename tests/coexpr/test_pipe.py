@@ -6,8 +6,11 @@ import time
 import pytest
 
 from repro.errors import PipeError
+from repro.monitor import Tracer
+from repro.monitor.events import EventKind
 from repro.runtime.failure import FAIL
 from repro.coexpr.coexpression import CoExpression
+from repro.coexpr.patterns import source_pipe, stage
 from repro.coexpr.pipe import Pipe
 
 
@@ -243,3 +246,48 @@ class TestParallelism:
             order.append(f"consume-{value}")
         assert order.index("produce-0") < order.index("consume-0")
         assert order.index("consume-2") > order.index("produce-2")
+
+
+def _drain(it):
+    yield from it
+
+
+def _count_to(n):
+    yield from range(n)
+
+
+def _double(x):
+    return 2 * x
+
+
+def _refused_pipe(tier, backend):
+    """A pipe whose body *tier* must refuse, built on *backend*."""
+    if tier == "process":
+        # A live iterator is parent-side position state: no child may
+        # copy it.
+        body = CoExpression(_drain, lambda: (iter(range(10)),), name="refused")
+        return Pipe(body, backend=backend)
+    if tier == "remote":
+        # Nothing listens on port 1: the dial is refused.
+        body = CoExpression(_count_to, lambda: (10,), name="refused")
+        return Pipe(body, backend=backend, remote_address=("127.0.0.1", 1))
+    # A stage fed by an in-process pipe would block the shared loop.
+    return stage(_double, source_pipe(range(10)), backend=backend)
+
+
+@pytest.mark.parametrize(
+    "tier, reason",
+    [("process", "live iterator"), ("remote", "connect"), ("async", "starve the loop")],
+)
+def test_a_refused_tier_degrades_to_threads_once(tier, reason, pipe_scheduler):
+    expected = list(_refused_pipe(tier, "thread"))
+    tracer = Tracer()
+    with tracer.lifecycle():
+        pipe = _refused_pipe(tier, tier).start()
+        values = list(pipe)
+    degraded = [e for e in tracer.events if e.kind == EventKind.DEGRADED]
+    assert len(degraded) == 1
+    assert reason in pipe.degraded
+    assert degraded[0].value == pipe.degraded
+    assert values == expected
+    assert pipe_scheduler.leaked(join_timeout=2.0) == []

@@ -455,7 +455,7 @@ class TestCancellation:
 
         pipe = proc_pipe(CoExpression(body, name="endless"), capacity=4).start()
         assert pipe.take() == 0
-        worker = pipe._process_worker
+        worker = pipe._tier_worker
         pipe.cancel(join=True)
         assert not worker.process.is_alive()
         # Cancel drains whatever was already buffered, then fails —
@@ -533,7 +533,7 @@ class TestSchedulerProcessAccounting:
             heartbeat_interval=0.05,
         ).start()
         assert pipe.take() == 0
-        process = pipe._process_worker.process
+        process = pipe._tier_worker.process
         scheduler.shutdown(timeout=5.0)
         assert not process.is_alive()
         assert scheduler.tracked_processes == 0

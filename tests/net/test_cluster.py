@@ -378,7 +378,7 @@ class TestWorkStealing:
             backend="remote",
             remote_address=pool,
         ).start()
-        worker = pipe._remote_worker
+        worker = pipe._tier_worker
         with pytest.raises(PipeConnectionLost, match="injected connection drop"):
             pipe.take()
         assert worker.join(5.0)  # the pump saw the closed socket and exited
