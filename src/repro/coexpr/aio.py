@@ -58,6 +58,7 @@ from .coalesce import Coalescer
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline
 from .options import PipeOptions
+from .pipe import Pipe
 from .scheduler import WorkerHandle
 
 #: How long a backpressured async worker sleeps before re-checking a
@@ -392,12 +393,7 @@ class AsyncPipe:
             if self._cancelled or self._errored:
                 self._cancel_upstream()
 
-    def _cancel_upstream(self) -> None:
-        upstream = self.upstream
-        if upstream is not None:
-            canceller = getattr(upstream, "cancel", None)
-            if canceller is not None:
-                canceller()
+    _cancel_upstream = Pipe._cancel_upstream
 
     async def take(self, timeout: Any = None) -> Any:
         """The next result or :data:`FAIL` once exhausted."""
@@ -657,7 +653,6 @@ def async_unsafe_reason(pipe: Any) -> str | None:
     """
     from .channel import Channel
     from .future import Future, MVar
-    from .pipe import Pipe
     from .supervision import SupervisedPipe
 
     blocking = (Pipe, SupervisedPipe, Future, MVar, Channel)

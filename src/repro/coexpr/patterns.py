@@ -22,6 +22,7 @@ import threading
 
 from ..errors import ChannelClosedError
 from ..runtime.failure import FAIL
+from ..runtime.iterator import IconIterator
 from .coexpression import CoExpression
 from .dataparallel import apply_mapped, iter_source
 from .options import PipeOptions, options_from
@@ -38,8 +39,19 @@ def _source_body(src: Any) -> Iterator[Any]:
 
 
 def _stage_body(up: Any, fn: Callable[[Any], Any]) -> Iterator[Any]:
-    for value in iter_source(up):
-        yield from apply_mapped(fn, value)
+    """Map *fn* over *up*: the body of every stage, supervised or not.
+
+    An upstream pipe is taken without a timeout.  A stall above this
+    stage is not a crash of it: a timeout raised here would end the
+    stage and lose the rest of the stream, so only the outermost
+    consumer's take times out (the upstream's deadline still bounds the
+    wait)."""
+    if isinstance(up, IconIterator) and hasattr(up, "take"):
+        while (value := up.take(None)) is not FAIL:
+            yield from apply_mapped(fn, value)
+    else:
+        for value in iter_source(up):
+            yield from apply_mapped(fn, value)
 
 
 def _remote_pipeline_body(source: Any, stages: tuple) -> Iterator[Any]:

@@ -231,6 +231,9 @@ class Pipe(IconIterator):
         the body cannot run on that tier.  Then the pipe degrades to the
         thread backend in place, here and nowhere else: :attr:`degraded`
         names the reason and one ``DEGRADED`` monitor event is emitted.
+        A start that raises instead (a :class:`~repro.net.RemotePipe`
+        that cannot reach its server, a shut-down scheduler) leaves the
+        pipe unstarted, so the next take starts it again.
 
         An already-expired deadline short-circuits *before* any spawn —
         no child is forked and no socket is dialed past budget; the pipe
@@ -246,10 +249,12 @@ class Pipe(IconIterator):
                 return self
             self._started = True
         scheduler = self._scheduler or default_scheduler()
-        tier = TIERS.get(self.options.backend)
-        if tier is not None:
-            module, starter = tier
-            worker = getattr(import_module(module), starter)(self, scheduler)
+        try:
+            worker = self._start_tier(scheduler)
+        except BaseException:
+            self._started = False  # a retried start tries again
+            raise
+        if worker is not None:
             if not isinstance(worker, str):
                 self._tier_worker = worker
                 self._worker = worker.handle
@@ -266,6 +271,16 @@ class Pipe(IconIterator):
             )
         self._emit(EventKind.START)
         return self
+
+    def _start_tier(self, scheduler: PipeScheduler) -> Any:
+        """Start the worker of a tier other than threads: the worker,
+        the reason the body cannot run there (a string), or None for
+        the thread backend."""
+        tier = TIERS.get(self.options.backend)
+        if tier is None:
+            return None
+        module, starter = tier
+        return getattr(import_module(module), starter)(self, scheduler)
 
     @property
     def degraded(self) -> str | None:

@@ -8,10 +8,12 @@ GIL.  This module adds a second execution tier, selected with
 through ``stage``/``pipeline``/``DataParallel``/``supervise``): the
 worker body runs in a ``multiprocessing`` child that speaks the existing
 envelope protocol — batched data slices, error, close (the
-``WIRE_*`` vocabulary of :mod:`repro.coexpr.channel`) — over an IPC
-connection.  A parent-side **pump thread** forwards envelopes into the
-pipe's ordinary :class:`~repro.coexpr.channel.Channel`, so consumers,
-batching, supervision, and monitoring all work unchanged.
+``WIRE_*`` vocabulary of :mod:`repro.coexpr.wire`) — over an IPC
+connection.  A parent-side **pump thread** — the
+:class:`~repro.coexpr.pump.StreamPump` the network tier runs too —
+forwards envelopes into the pipe's ordinary
+:class:`~repro.coexpr.channel.Channel`, so consumers, batching,
+supervision, and monitoring all work unchanged.
 
 Three behaviours distinguish the tier:
 
@@ -21,11 +23,13 @@ Three behaviours distinguish the tier:
   (:class:`~repro.coexpr.coalesce.Coalescer`): it wakes at the next beat
   or when a partial batch can come due, whichever is sooner, and never
   more often than once per millisecond.
-  Missed beats past ``heartbeat_timeout``, an EOF on the connection, or
-  child death (exit-code sentinel) without a close envelope surface a
-  :class:`~repro.errors.PipeWorkerLost` error envelope to the consumer
-  instead of a hang.  Buffered data already in the OS pipe is drained
-  *before* the loss is reported — data-before-error, as in-process.
+  Missed beats past ``heartbeat_timeout``, an EOF on the connection,
+  child death (exit-code sentinel) without a close envelope, or an
+  envelope kind the pump does not know surface a
+  :class:`~repro.errors.PipeWorkerLost` error to the consumer instead
+  of a hang or a silently truncated stream.  Buffered data already in
+  the OS pipe is drained *before* the loss is reported —
+  data-before-error, as in-process.
 * **Worker-lost is retryable.**  Under
   :func:`~repro.coexpr.supervision.supervise` a lost worker consumes a
   retry like any producer crash: the process is respawned and the stream
@@ -50,19 +54,13 @@ import threading
 import time
 from typing import Any, Callable
 
-from ..errors import ChannelClosedError, PipeDeadlineExceeded, PipeWorkerLost
-from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
+from ..errors import PipeDeadlineExceeded, PipeWorkerLost
+from ..monitor.events import EventKind, lifecycle_enabled
 from .coalesce import Coalescer
 from .deadline import Deadline
 from .options import POLL_SLICE
-from .wire import (
-    WIRE_BEAT,
-    WIRE_CLOSE,
-    WIRE_DATA,
-    WIRE_ERROR,
-    decode_error,
-    encode_error,
-)
+from .pump import StreamLost, StreamPump
+from .wire import WIRE_BEAT, WIRE_CLOSE, WIRE_DATA, WIRE_ERROR, encode_error
 
 #: Exit code used by fault injection (``FaultPlan.kill_stage``) so tests
 #: can tell a deliberate chaos kill from an accidental one.
@@ -264,34 +262,23 @@ def _child_main(
 # Parent side.
 # ---------------------------------------------------------------------------
 
-class ProcessWorker:
-    """One child process plus the pump/watchdog thread that drains it.
+class ProcessWorker(StreamPump):
+    """One child process plus the pump thread that drains it.
 
-    Created by :func:`start_process_worker`; owns the IPC connection, the
-    ``multiprocessing.Process``, and the loss-detection state.  The pump
-    body (:meth:`pump`) runs on a scheduler thread, so it is joinable and
-    leak-checked exactly like a thread-backend worker.
+    Created by :func:`start_process_worker`; owns the IPC connection and
+    the ``multiprocessing.Process``.  The pump, the watchdog and the
+    loss report are :class:`~repro.coexpr.pump.StreamPump`'s; a lost
+    child surfaces as :class:`~repro.errors.PipeWorkerLost`.
     """
 
-    __slots__ = (
-        "pipe",
-        "scheduler",
-        "process",
-        "conn",
-        "heartbeat_timeout",
-        "handle",
-        "lost",
-    )
+    __slots__ = ("process", "conn")
+
+    LOST_EVENT = EventKind.WORKER_LOST
 
     def __init__(self, pipe: Any, scheduler: Any, ctx: Any) -> None:
-        options = pipe.options
-        self.pipe = pipe
-        self.scheduler = scheduler
-        self.heartbeat_timeout = options.beat_timeout
-        self.handle = None
-        #: The loss reason once the watchdog fired (None while healthy).
-        self.lost: PipeWorkerLost | None = None
         coexpr = pipe.coexpr
+        super().__init__(pipe, scheduler, coexpr.name)
+        options = pipe.options
         self.conn, child_conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_child_main,
@@ -309,116 +296,36 @@ class ProcessWorker:
             daemon=True,
         )
 
-    # -- watchdog / pump -------------------------------------------------------
+    # -- the transport half of the pump ----------------------------------------
 
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.pipe.coexpr.name}", 0, value))
+    def _endpoints(self) -> tuple:
+        return self._receive, self.pipe.out.put_many
 
-    def _mark_lost(self, reason: str) -> None:
+    def _receive(self) -> tuple:
+        conn = self.conn
+        if conn.poll(POLL_SLICE):
+            return conn.recv()
+        if self.process.is_alive():
+            raise TimeoutError
+        # The child may have exited cleanly with envelopes still
+        # buffered in the OS pipe: drain them (a close included) before
+        # judging the death.
+        if conn.poll(0):
+            return conn.recv()
+        raise StreamLost(f"child died, exit code {self.process.exitcode}")
+
+    def _loss(self, reason: str) -> tuple:
         # An EOF can race the child's actual exit: give it a beat so the
         # exit code is collectable (a still-running child — e.g. a missed
         # heartbeat — just reports None).
         self.process.join(0.2)
         exitcode = self.process.exitcode
-        self.lost = PipeWorkerLost(
-            f"pipe {self.pipe.coexpr.name!r}: process worker lost ({reason})",
-            exitcode=exitcode,
+        error = PipeWorkerLost(
+            f"pipe {self.name!r}: process worker lost ({reason})", exitcode=exitcode
         )
-        self._emit(
-            EventKind.WORKER_LOST, {"reason": reason, "exitcode": exitcode}
-        )
-        self.pipe._errored = True
-        try:
-            self.pipe.out.put_error(self.lost)
-        except ChannelClosedError:
-            pass  # consumer cancelled while the child was dying
+        return error, {"reason": reason, "exitcode": exitcode}
 
-    def pump(self) -> None:
-        """Forward wire envelopes into the pipe's channel; watch liveness.
-
-        One loop is both transport and monitor: every received envelope
-        (beat or data) refreshes the heartbeat deadline; an expired
-        deadline, an EOF, or a dead child without a close envelope is a
-        lost worker.  Pending OS-pipe data is drained before loss is
-        declared, preserving data-before-error ordering end to end.
-        """
-        pipe = self.pipe
-        out = pipe.out
-        conn = self.conn
-        deadline = time.monotonic() + self.heartbeat_timeout
-        closed = False
-        try:
-            while not closed:
-                if pipe._cancelled:
-                    return
-                try:
-                    ready = conn.poll(POLL_SLICE)
-                except (OSError, ValueError):
-                    ready = False  # connection torn down under us
-                if ready:
-                    try:
-                        kind, *payload = conn.recv()
-                    except (EOFError, OSError):
-                        self._mark_lost("connection closed before end of stream")
-                        return
-                    if kind == WIRE_ERROR:
-                        pipe._errored = True
-                        closed = out.feed_wire(kind, decode_error(payload[0]))
-                    else:
-                        closed = out.feed_wire(
-                            kind, payload[0] if payload else None
-                        )
-                    deadline = time.monotonic() + self.heartbeat_timeout
-                    continue
-                if not self.process.is_alive():
-                    # The child may have exited cleanly with envelopes
-                    # still buffered in the OS pipe: drain before judging.
-                    closed = self._drain()
-                    if not closed:
-                        self._mark_lost(
-                            f"child died, exit code {self.process.exitcode}"
-                        )
-                    return
-                if time.monotonic() >= deadline:
-                    self._mark_lost(
-                        f"no heartbeat within {self.heartbeat_timeout:.2f}s"
-                    )
-                    return
-        except ChannelClosedError:
-            pass  # the consumer cancelled the pipe; just exit
-        finally:
-            out.close()
-            self._reap()
-            if pipe._cancelled or pipe._errored:
-                pipe._cancel_upstream()
-
-    def _drain(self) -> bool:
-        """Deliver every envelope still buffered after child death;
-        True if a close envelope completed the stream."""
-        out = self.pipe.out
-        while True:
-            try:
-                if not self.conn.poll(0):
-                    return False
-                kind, *payload = self.conn.recv()
-            except (EOFError, OSError):
-                return False
-            if kind == WIRE_ERROR:
-                self.pipe._errored = True
-                if out.feed_wire(kind, decode_error(payload[0])):
-                    return True
-            elif out.feed_wire(kind, payload[0] if payload else None):
-                return True
-
-    # -- teardown --------------------------------------------------------------
-
-    def terminate(self) -> None:
-        """Ask the child to die (idempotent; the pump reaps it)."""
-        if self.process.is_alive():
-            self.process.terminate()
-
-    def _reap(self) -> None:
+    def _release(self) -> None:
         """Ensure the child is dead and unregistered (SIGTERM → SIGKILL)."""
         process = self.process
         if process.is_alive():
@@ -434,13 +341,10 @@ class ProcessWorker:
             pass
         self.scheduler.untrack_process(process)
 
-    def join(self, timeout: float | None = None) -> bool:
-        if self.handle is not None:
-            return self.handle.join(timeout)
-        return True
-
-    def is_alive(self) -> bool:
-        return self.handle is not None and self.handle.is_alive()
+    def terminate(self) -> None:
+        """Ask the child to die (idempotent; the pump reaps it)."""
+        if self.process.is_alive():
+            self.process.terminate()
 
 
 def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | str:
@@ -467,7 +371,7 @@ def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | str:
     try:
         worker.handle = scheduler.submit(worker.pump, name=f"pump-{pipe.coexpr.name}")
     except BaseException:
-        worker._reap()
+        worker._release()
         raise
     if lifecycle_enabled():
         pipe._emit(EventKind.SPAWN, {"pid": worker.process.pid})

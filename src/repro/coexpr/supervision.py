@@ -51,7 +51,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..errors import (
@@ -64,8 +64,9 @@ from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 from .coexpression import CoExpression, coexpr_of
-from .dataparallel import apply_mapped, iter_source
+from .dataparallel import iter_source
 from .options import PipeOptions, options_from
+from .patterns import _stage_body, _whole_chain, source_pipe
 from .pipe import Pipe
 from .scheduler import PipeScheduler
 
@@ -575,6 +576,7 @@ class SupervisedPipe(IconIterator):
         self._failures += 1
         if self._failures > self.max_retries:
             self._emit(EventKind.EXHAUST, self._failures)
+            self._cancel_upstream()  # giving up: nothing will drain it
             raise RetryExhaustedError(
                 f"supervise {self.name!r}: producer failed "
                 f"{self._failures} times (max_retries={self.max_retries})",
@@ -625,12 +627,10 @@ class SupervisedPipe(IconIterator):
         self._cancelled = True
         self._cancel_event.set()  # interrupt a backoff sleep in progress
         done = self._pipe.cancel(join=join, timeout=timeout)
-        upstream = self.upstream
-        if upstream is not None:
-            canceller = getattr(upstream, "cancel", None)
-            if canceller is not None:
-                canceller()
+        self._cancel_upstream()
         return done
+
+    _cancel_upstream = Pipe._cancel_upstream
 
     @property
     def failures(self) -> int:
@@ -722,11 +722,10 @@ def supervised_stage(
 
     def body(up: Any, plan: FaultPlan | None, stage_id: Any) -> Iterator[Any]:
         ctx = plan.enter(stage_id) if plan is not None else None
-        for value in iter_source(up):
-            for mapped in apply_mapped(fn, value):
-                if ctx is not None:
-                    ctx.on_item(mapped)
-                yield mapped
+        for mapped in _stage_body(up, fn):
+            if ctx is not None:
+                ctx.on_item(mapped)
+            yield mapped
 
     coexpr = CoExpression(
         body, lambda: (shared, fault_plan, key), name=stage_name
@@ -770,8 +769,6 @@ def supervised_pipeline(
     this shape; inject faults in the stage functions or kill server
     sessions instead.)
     """
-    from .patterns import _whole_chain, source_pipe
-
     options = options_from(options, knobs)
     supervision = {
         "max_retries": max_retries,
@@ -783,15 +780,7 @@ def supervised_pipeline(
     chain = _whole_chain(source, stages, options)
     if chain is not None:
         return SupervisedPipe(chain, restart="replay", **supervision)
-    # The source runs without take_timeout.  Only stage 1's body takes
-    # from it, inside a worker, and a timeout raised there ends that
-    # body: the consumer would see one timeout and then the end of the
-    # stream, with the rest of the source lost.  The stages' own
-    # take_timeout bounds every wait the consumer makes and leaves the
-    # chain usable after a timeout.
-    current: Any = source_pipe(
-        source, scheduler=scheduler, options=replace(options, take_timeout=None)
-    )
+    current: Any = source_pipe(source, scheduler=scheduler, options=options)
     for index, fn in enumerate(stages, start=1):
         current = supervised_stage(
             fn,

@@ -16,7 +16,7 @@ Two client shapes:
   transparent tier: the pipe's own body is pickled and shipped, and the
   consumer sees the identical element-at-a-time stream (degrading to
   the thread backend when the body cannot travel);
-* :class:`RemotePipe` — a proxy over a factory the *server* registered
+* :class:`RemotePipe` — a pipe over a factory the *server* registered
   by name, for bodies that only exist on the far side.
 
 The **event-loop server** (:mod:`repro.net.aserver`) is the same wire

@@ -1,20 +1,22 @@
 """The client side of the network tier: remote workers and remote pipes.
 
-Two entry points share one transport:
+Both client shapes are a :class:`~repro.coexpr.pipe.Pipe`, and both
+start their producer through one dial (:func:`_dial`):
 
-* :func:`start_remote_worker` — the hook :meth:`Pipe.start` calls for
-  ``backend="remote"``: ship the pipe's own ``(factory, env)`` body to
-  the generator server and pump the result stream into the pipe's
-  channel (or return why it cannot, and the pipe degrades to threads);
-* :class:`RemotePipe` — an :class:`~repro.runtime.iterator.IconIterator`
-  proxy over a factory the *server* registered by name, for bodies that
-  only exist on the far side.
+* ``Pipe(..., backend="remote")`` — :func:`start_remote_worker`, the
+  hook :meth:`Pipe.start` calls for that backend, ships the pipe's own
+  ``(factory, env)`` body to the generator server (or returns why it
+  cannot, and the pipe degrades to threads);
+* :class:`RemotePipe` — a pipe over a factory the *server* registered
+  by name, for bodies that only exist on the far side.  It raises where
+  the first shape degrades.
 
-The pump thread is transport and monitor in one loop, exactly like the
-process tier's: every received envelope refreshes the heartbeat
-deadline; expiry, an EOF, or a torn frame surfaces as
+A :class:`RemoteWorker` is the socket half of the shared stream pump
+(:class:`~repro.coexpr.pump.StreamPump`, which the process tier also
+runs): the pump forwards envelopes into the pipe's channel and watches
+the heartbeat; expiry, an EOF, or a torn frame surfaces as
 :class:`~repro.errors.PipeConnectionLost` through the channel (after
-draining any data received first — the data-before-error invariant).
+the data received first — the data-before-error invariant).
 
 Flow control is credit-based: the client grants credit equal to its
 channel capacity up front (None = unlimited for an unbounded channel)
@@ -27,8 +29,8 @@ once half the effective window is owed.  The request asks the server
 for its ``max_credit`` quota *Q*, which it answers with ``WIRE_QUOTA``
 before the stream; the effective window is then ``min(window, Q)``, so
 the grant count is set by the stream, the window and the quota, not by
-which side is faster.  A peer that never answers is also paid before every
-receive that could block, since its clamp is unknown.
+which side is faster.  A peer that has not told its quota is paid for
+every slice, since its clamp is unknown.
 
 Degradation mirrors :mod:`repro.coexpr.proc`: a body that cannot leave
 the process (:func:`~repro.coexpr.proc.body_portability_reason`), a
@@ -49,40 +51,26 @@ import pickle
 import socket
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any, Callable
 
-from ..coexpr.channel import CLOSED, Channel
-from ..coexpr.options import POLL_SLICE, PipeOptions
+from ..coexpr.coexpression import CoExpression
+from ..coexpr.options import POLL_SLICE
+from ..coexpr.pipe import Pipe
 from ..coexpr.proc import body_portability_reason
-from ..coexpr.scheduler import PipeScheduler, default_scheduler
+from ..coexpr.pump import StreamLost, StreamPump
+from ..coexpr.scheduler import PipeScheduler
 from ..coexpr.wire import (
-    WIRE_BEAT,
     WIRE_BUSY,
     WIRE_CALL,
     WIRE_CANCEL,
-    WIRE_CLOSE,
     WIRE_CREDIT,
-    WIRE_DATA,
     WIRE_DEADLINE,
-    WIRE_ERROR,
     WIRE_QUOTA,
     WIRE_SPAWN,
-    FrameError,
     SocketFramer,
-    decode_error,
 )
-from ..errors import (
-    ChannelClosedError,
-    InjectedDisconnect,
-    PipeConnectionLost,
-    PipeDeadlineExceeded,
-    PipeError,
-    PipeServerBusy,
-    PipeTimeoutError,
-)
+from ..errors import InjectedDisconnect, PipeConnectionLost, PipeServerBusy
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
-from ..runtime.failure import FAIL
-from ..runtime.iterator import IconIterator
 
 #: TCP connect timeout before degrading (or failing a RemotePipe).
 _CONNECT_TIMEOUT = 5.0
@@ -91,8 +79,6 @@ _CONNECT_TIMEOUT = 5.0
 _BREAKER_THRESHOLD = 3
 #: Open-state hold when the failure carried no ``retry_after`` hint.
 _BREAKER_COOLDOWN = 0.5
-
-_UNSET = object()
 
 
 class CircuitBreaker:
@@ -286,58 +272,47 @@ def drain_address(address: Any, reason: str) -> int:
     return len(workers)
 
 
-class RemoteWorker:
-    """One server connection plus the pump/watchdog thread draining it.
+class RemoteWorker(StreamPump):
+    """One server connection plus the pump thread draining it.
 
-    *owner* is the pipe (or :class:`RemotePipe`) being fed: it supplies
-    the output channel, the cancel flag, and the watchdog knobs.  The
-    pump body runs on a scheduler thread; the worker itself registers
-    with the scheduler's session accounting, so ``leaked()`` and
-    ``shutdown()`` cover the open socket.
+    The pump, the watchdog and the once-only loss report are
+    :class:`~repro.coexpr.pump.StreamPump`'s; this class adds the
+    socket's half: the handshake, credit and the server's quota,
+    ``WIRE_BUSY``, the breaker and pool health notes, and the chaos
+    ticks.  The worker registers with the scheduler's session
+    accounting, so ``leaked()`` and ``shutdown()`` cover the open
+    socket.
     """
 
     __slots__ = (
-        "owner",
-        "scheduler",
         "framer",
         "address",
-        "name",
-        "request",
         "window",
-        "heartbeat_timeout",
-        "handle",
-        "lost",
-        "_loss_once",
         "pool",
         "route_key",
         "chaos",
         "drained",
         "_healthy",
+        "_owed",
+        "_threshold",
+        "_retry_after",
     )
+
+    LOST_EVENT = EventKind.NET_LOST
 
     def __init__(
         self,
-        owner: Any,
+        pipe: Any,
         scheduler: Any,
         sock: Any,
         address: Any,
         name: str,
-        request: tuple,
     ) -> None:
-        self.owner = owner
-        self.scheduler = scheduler
+        super().__init__(pipe, scheduler, name)
         self.framer = SocketFramer(sock)
         self.address = address
-        self.name = name
-        self.request = request
         #: Credit window: the channel capacity (None = unbounded).
-        self.window: int | None = owner.capacity or None
-        self.heartbeat_timeout = owner.options.beat_timeout
-        self.handle: Any = None
-        #: The loss verdict once the watchdog fired (None while healthy).
-        self.lost: PipeConnectionLost | None = None
-        #: Held by the first loss report (see _claim_loss); never released.
-        self._loss_once = threading.Lock()
+        self.window: int | None = pipe.capacity or None
         #: Cluster routing, when this session was dialed through a
         #: :class:`~repro.net.cluster.ServerPool`: the pool hears about
         #: losses/health (suspicion, failover accounting) keyed by
@@ -347,93 +322,81 @@ class RemoteWorker:
         self.route_key: Any = None
         self.chaos: Any = None
         #: The drain verdict when a health prober declared this worker's
-        #: server dead (:func:`drain_address`): the pump reports *this*
+        #: server dead (:func:`drain_address`): the loss reports *this*
         #: reason instead of the bare transport error the forced close
         #: produced.
         self.drained: str | None = None
         #: True once the stream proved the server healthy (first data /
         #: error / close envelope) and the breaker heard about it.
         self._healthy = False
-
-    # -- lifecycle events ------------------------------------------------------
-
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.name}", 0, value))
+        # Coalesced credit: items delivered but not yet granted back,
+        # paid once `_threshold` are owed.  Until the server has told
+        # its quota a clamp it cannot see could leave both sides
+        # waiting, so every delivery is paid at once; WIRE_QUOTA then
+        # sets the threshold to half the effective window E =
+        # min(window, quota).  After the first grant is clamped to E,
+        # the server's credit, the data in flight and the owed count sum
+        # to E, so a pump that blocks owing less than max(1, E // 2)
+        # leaves the server credit or data on the way.
+        self._owed = 0
+        self._threshold = 1
+        #: The server's ``WIRE_BUSY`` hint once it shed this session.
+        self._retry_after: float | None = None
 
     # -- handshake -------------------------------------------------------------
 
-    def handshake(self) -> None:
-        """Ship the request, the initial credit grant, and (when the
-        owner carries one) the deadline budget — remaining seconds, the
-        only form that survives a clock boundary."""
-        self.framer.send(self.request)
+    def handshake(self, request: tuple) -> None:
+        """Ship *request*, the initial credit grant, and (when the pipe
+        carries one) the deadline budget — remaining seconds, the only
+        form that survives a clock boundary."""
+        self.framer.send(request)
         self.framer.send((WIRE_CREDIT, self.window))
-        deadline = getattr(self.owner, "deadline", None)
+        deadline = self.pipe.deadline
         if deadline is not None:
             remaining = deadline.remaining()
             self.framer.send((WIRE_DEADLINE, remaining))
-            self._emit(
-                EventKind.DEADLINE_PROPAGATED,
-                {"remaining": remaining, "transport": "remote"},
-            )
+            if lifecycle_enabled():
+                emit_lifecycle(
+                    Event(
+                        EventKind.DEADLINE_PROPAGATED,
+                        f"pipe:{self.name}",
+                        0,
+                        {"remaining": remaining, "transport": "remote"},
+                    )
+                )
         self.framer.sock.settimeout(POLL_SLICE)
 
-    # -- pump / watchdog -------------------------------------------------------
+    # -- the transport half of the pump ----------------------------------------
 
-    def _claim_loss(self) -> bool:
-        """True for the first loss report only: one lost session is one
-        breaker failure.  (A drop-at-connect rule reports the loss and
-        closes the socket; the pump then finds it closed and would
-        report it again.)"""
-        return self._loss_once.acquire(blocking=False)
+    def _endpoints(self) -> tuple:
+        return self.framer.recv, self._deliver
 
-    def _mark_lost(self, reason: str) -> None:
-        if not self._claim_loss():
-            return
-        breaker_for(self.address).record_failure()
-        if self.pool is not None:
-            self.pool.note_lost(self.route_key, self.address, reason)
-        self.lost = PipeConnectionLost(
-            f"pipe {self.name!r}: remote session lost ({reason})",
-            address=self.address,
-            reason=reason,
-        )
-        self._emit(
-            EventKind.NET_LOST, {"reason": reason, "address": self.address}
-        )
-        self.owner._errored = True
-        try:
-            self.owner.out.put_error(self.lost)
-        except ChannelClosedError:
-            pass  # consumer cancelled while the session was dying
+    def _deliver(self, slice_: list) -> None:
+        """One data slice: into the channel, then the chaos ticks and
+        the credit owed for it."""
+        if not self._healthy:
+            self._served()
+        self.pipe.out.put_many(slice_)
+        if self.chaos is not None:
+            # Deterministic chaos: tick the armed fault plan once per
+            # delivered item.  drop_connection rules raise here;
+            # kill_server rules fire silently and the fault arrives
+            # through the socket like a real crash.
+            try:
+                for item in slice_:
+                    self.chaos.on_item(item)
+            except InjectedDisconnect:
+                raise StreamLost("injected connection drop") from None
+        if self.window is not None:
+            self._owed += len(slice_)
+            if self._owed >= self._threshold:
+                try:
+                    self.framer.send((WIRE_CREDIT, self._owed))
+                except (OSError, EOFError) as error:
+                    raise StreamLost(f"transport error: {error!r}") from None
+                self._owed = 0
 
-    def _mark_busy(self, retry_after: float) -> None:
-        """The server shed us (``WIRE_BUSY``): a retryable loss that
-        feeds the breaker its ``retry_after`` hint."""
-        if not self._claim_loss():
-            return
-        breaker_for(self.address).record_failure(retry_after)
-        if self.pool is not None:
-            self.pool.note_lost(self.route_key, self.address, "server at capacity")
-        busy = PipeServerBusy(
-            f"pipe {self.name!r}: server at {self.address!r} shed the "
-            f"connection (retry after {retry_after:.2f}s)",
-            address=self.address,
-            retry_after=retry_after,
-        )
-        self.lost = busy
-        self._emit(
-            EventKind.NET_LOST,
-            {"reason": "server at capacity", "address": self.address},
-        )
-        self.owner._errored = True
-        try:
-            self.owner.out.put_error(busy)
-        except ChannelClosedError:
-            pass  # consumer cancelled while being shed
-
-    def _mark_healthy(self) -> None:
+    def _served(self) -> None:
         # First substantive envelope: the server accepted and ran the
         # session, so the breaker's failure streak is over (a long
         # stream must not wait for WIRE_CLOSE to close the breaker).
@@ -443,128 +406,49 @@ class RemoteWorker:
             if self.pool is not None:
                 self.pool.note_healthy(self.address)
 
-    def _grant(self, amount: int) -> bool:
-        """Give *amount* delivered items' credit back to the server;
-        False (with the loss reported) when the transport is gone."""
-        try:
-            self.framer.send((WIRE_CREDIT, amount))
-        except (OSError, EOFError) as error:
-            if not self.owner._cancelled:
-                self._mark_lost(self.drained or f"transport error: {error!r}")
-            return False
-        return True
+    def _control(self, envelope: tuple) -> None:
+        kind = envelope[0]
+        if kind == WIRE_QUOTA:
+            quota = envelope[1]
+            if quota is not None and not (type(quota) is int and quota >= 1):
+                raise StreamLost(f"protocol violation: {envelope!r}")
+            window = self.window
+            if window is not None:
+                effective = window if quota is None else min(window, quota)
+                self._threshold = max(1, effective // 2)
+        elif kind == WIRE_BUSY:
+            # The server shed us: a retryable loss that feeds the
+            # breaker its retry_after hint.
+            self._retry_after = float(envelope[1] if len(envelope) > 1 else 0.0)
+            raise StreamLost("server at capacity")
+        else:
+            super()._control(envelope)
 
-    def pump(self) -> None:
-        """Forward wire envelopes into the owner's channel; watch liveness.
+    def _loss(self, reason: str) -> tuple:
+        reason = self.drained or reason
+        retry_after = self._retry_after
+        breaker_for(self.address).record_failure(retry_after)
+        if self.pool is not None:
+            self.pool.note_lost(self.route_key, self.address, reason)
+        if retry_after is None:
+            error: PipeConnectionLost = PipeConnectionLost(
+                f"pipe {self.name!r}: remote session lost ({reason})",
+                address=self.address,
+                reason=reason,
+            )
+        else:
+            error = PipeServerBusy(
+                f"pipe {self.name!r}: server at {self.address!r} shed the "
+                f"connection (retry after {retry_after:.2f}s)",
+                address=self.address,
+                retry_after=retry_after,
+            )
+        return error, {"reason": reason, "address": self.address}
 
-        The deadline is only *checked* when a receive times out and
-        refreshed by every envelope — so a pump that spent seconds
-        blocked in ``put_many`` (slow consumer) finds the server's
-        buffered beats waiting and never false-positives.
-        """
-        owner = self.owner
-        out = owner.out
-        deadline = time.monotonic() + self.heartbeat_timeout
-        closed = False
-        # Coalesced credit: items delivered but not yet granted back,
-        # paid at half the effective window E = min(window, quota).
-        # After the first grant is clamped to E, the server's credit,
-        # the data in flight and `owed` sum to E, so a pump that blocks
-        # with owed < max(1, E // 2) <= E leaves the server credit or
-        # data on the way.  Until the server has told its quota, a clamp
-        # it cannot see could leave both sides waiting, so owed credit
-        # is also paid before every receive that could block.
-        owed = 0
-        window = self.window
-        threshold = max(1, window // 2) if window is not None else 0
-        quota_known = False
-        _register_live(self)
-        try:
-            while not closed:
-                if owner._cancelled:
-                    return
-                if owed and not quota_known and not self.framer.buffered():
-                    if not self._grant(owed):
-                        return
-                    owed = 0
-                try:
-                    envelope = self.framer.recv()
-                except (socket.timeout, TimeoutError):
-                    if time.monotonic() >= deadline:
-                        self._mark_lost(
-                            self.drained
-                            or f"no heartbeat within "
-                            f"{self.heartbeat_timeout:.2f}s"
-                        )
-                        return
-                    continue
-                except (EOFError, FrameError, OSError) as error:
-                    if owner._cancelled:
-                        return
-                    self._mark_lost(
-                        self.drained
-                        or (
-                            "connection closed before end of stream"
-                            if isinstance(error, (EOFError, FrameError))
-                            else f"transport error: {error!r}"
-                        )
-                    )
-                    return
-                deadline = time.monotonic() + self.heartbeat_timeout
-                kind = envelope[0]
-                if kind == WIRE_DATA:
-                    self._mark_healthy()
-                    slice_ = envelope[1]
-                    out.put_many(slice_)
-                    if self.chaos is not None:
-                        # Deterministic chaos: tick the armed fault plan
-                        # once per delivered item.  drop_connection rules
-                        # raise here; kill_server rules fire silently and
-                        # the fault arrives through the socket like a
-                        # real crash.
-                        try:
-                            for item in slice_:
-                                self.chaos.on_item(item)
-                        except InjectedDisconnect:
-                            self._mark_lost("injected connection drop")
-                            return
-                    if window is not None:
-                        owed += len(slice_)
-                        if owed >= threshold:
-                            if not self._grant(owed):
-                                return
-                            owed = 0
-                elif kind == WIRE_ERROR:
-                    self._mark_healthy()  # the *server* worked; the body crashed
-                    owner._errored = True
-                    closed = out.feed_wire(kind, decode_error(envelope[1]))
-                elif kind == WIRE_CLOSE:
-                    self._mark_healthy()
-                    closed = True
-                elif kind == WIRE_QUOTA:
-                    quota = envelope[1] if len(envelope) > 1 else 0
-                    if quota is not None and not (type(quota) is int and quota >= 1):
-                        self._mark_lost(f"protocol violation: {envelope!r}")
-                        return
-                    if window is not None and quota is not None:
-                        threshold = max(1, min(window, quota) // 2)
-                    quota_known = True
-                elif kind == WIRE_BUSY:
-                    retry_after = envelope[1] if len(envelope) > 1 else 0.0
-                    self._mark_busy(float(retry_after))
-                    return
-                elif kind != WIRE_BEAT:
-                    self._mark_lost(f"protocol violation: {kind!r} envelope")
-                    return
-        except ChannelClosedError:
-            pass  # the consumer cancelled the pipe; just exit
-        finally:
-            _unregister_live(self)
-            out.close()
-            self.framer.close()
-            self.scheduler.untrack_session(self)
-            if owner._cancelled or owner._errored:
-                owner._cancel_upstream()
+    def _release(self) -> None:
+        _unregister_live(self)
+        self.framer.close()
+        self.scheduler.untrack_session(self)
 
     # -- teardown --------------------------------------------------------------
 
@@ -576,23 +460,13 @@ class RemoteWorker:
             pass  # session already gone
         self.framer.close()
 
-    # -- worker/session protocol (scheduler accounting) ------------------------
-
     def kill(self) -> None:
         """Abrupt close (scheduler shutdown): unblocks the pump."""
         self.framer.close()
 
-    def join(self, timeout: float | None = None) -> bool:
-        if self.handle is not None:
-            return self.handle.join(timeout)
-        return True
-
-    def is_alive(self) -> bool:
-        return self.handle is not None and self.handle.is_alive()
-
 
 def _connect_worker(
-    owner: Any,
+    pipe: Any,
     scheduler: Any,
     address: Any,
     name: str,
@@ -600,7 +474,7 @@ def _connect_worker(
     pool: Any = None,
     key: Any = None,
 ) -> RemoteWorker:
-    """Dial, register, handshake, and submit the pump for *owner*.
+    """Dial, register, handshake, and submit the pump for *pipe*.
 
     With a *pool*, the session joins it under route *key* before the
     pump starts, so an armed fault plan sees every delivered item and a
@@ -608,18 +482,18 @@ def _connect_worker(
 
     Raises ``OSError`` when the server is unreachable and
     :class:`~repro.errors.SchedulerShutdownError` when the scheduler is
-    down — the callers decide whether that degrades or propagates.
+    down.
     """
     sock = socket.create_connection(address, timeout=_CONNECT_TIMEOUT)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    worker = RemoteWorker(owner, scheduler, sock, address, name, request)
+    worker = RemoteWorker(pipe, scheduler, sock, address, name)
     try:
         scheduler.track_session(worker)  # raises after shutdown
     except BaseException:
         worker.framer.close()
         raise
     try:
-        worker.handshake()
+        worker.handshake(request)
     except BaseException:
         worker.framer.close()
         scheduler.untrack_session(worker)
@@ -645,41 +519,37 @@ def _connect_worker(
             # socket closed and tears the worker down normally.
             worker._mark_lost("injected connection drop")
             worker.terminate()
+    _register_live(worker)
     try:
         worker.handle = scheduler.submit(worker.pump, name=f"net-{name}")
     except BaseException:
-        worker.framer.close()
-        scheduler.untrack_session(worker)
+        worker._release()
         raise
     return worker
 
 
 def _dial_pooled(
-    owner: Any,
+    pipe: Any,
     scheduler: Any,
     pool: Any,
-    key: Any,
     request: tuple,
-    label: Any = None,
+    label: Callable[[Any], str],
 ) -> RemoteWorker:
     """Dial through a :class:`~repro.net.cluster.ServerPool`.
 
-    Walks the pool's dial candidates for *key* — the ring's preference
-    order with suspect replicas last — consulting the per-address
-    circuit breaker before each dial (an open breaker is a ``REROUTE``,
-    not a dead end; the next candidate is tried).  The first replica
-    that accepts gets the session: the pool records the connect (and
-    emits ``FAILOVER`` when a lost stream lands on a new replica), the
-    worker carries the pool + key so losses feed suspicion, and an
-    armed fault plan is entered for the session.
-
-    *label* names the worker: a callable receives the chosen address
-    (RemotePipe's ``factory@host:port`` labels); None uses *key*.
+    Walks the pool's dial candidates for the pipe's name — the ring's
+    preference order with suspect replicas last — consulting the
+    per-address circuit breaker before each dial (an open breaker is a
+    ``REROUTE``, not a dead end; the next candidate is tried).  The
+    first replica that accepts gets the session: the pool records the
+    connect (and emits ``FAILOVER`` when a lost stream lands on a new
+    replica), the worker carries the pool + key so losses feed
+    suspicion, and an armed fault plan is entered for the session.
 
     Raises :class:`~repro.errors.PipeConnectionLost` only when **every**
-    replica refused — the caller then applies its tier's last-resort
-    rule (degrade to threads, or propagate for a RemotePipe).
+    replica refused.
     """
+    key = pipe.coexpr.name
     last_error: BaseException | None = None
     for address in pool.dial_candidates(key):
         breaker = breaker_for(address)
@@ -690,10 +560,9 @@ def _dial_pooled(
                 f"circuit breaker open (probe in {breaker.remaining():.2f}s)",
             )
             continue
-        name = label(address) if callable(label) else (label or key)
         try:
             return _connect_worker(
-                owner, scheduler, address, name, request, pool, key
+                pipe, scheduler, address, label(address), request, pool, key
             )
         except (OSError, EOFError) as error:
             breaker.record_failure()
@@ -707,17 +576,52 @@ def _dial_pooled(
     )
 
 
+def _dial(
+    pipe: Any, scheduler: Any, request: tuple, label: Callable[[Any], str]
+) -> RemoteWorker:
+    """Open *pipe*'s session with *request* and start its pump.
+
+    *label* names the worker after the address it reached.  A single
+    address is dialed once, behind its :class:`CircuitBreaker`; a
+    :class:`~repro.net.cluster.ServerPool` is walked replica by replica
+    (see :func:`_dial_pooled`).  Raises
+    :class:`~repro.errors.PipeServerBusy` when the breaker is open (no
+    dial is made) and :class:`~repro.errors.PipeConnectionLost` when no
+    server could be reached: ``backend="remote"`` turns either into a
+    degrade reason, and a :class:`RemotePipe` lets it through.
+    Scheduler shutdown propagates
+    :class:`~repro.errors.SchedulerShutdownError`.
+    """
+    address = pipe.options.remote_address
+    if hasattr(address, "dial_candidates"):
+        return _dial_pooled(pipe, scheduler, address, request, label)
+    breaker = breaker_for(address)
+    if not breaker.allow():
+        raise PipeServerBusy(
+            f"circuit breaker open for {address!r} "
+            f"(probe in {breaker.remaining():.2f}s)",
+            address=address,
+            retry_after=breaker.remaining(),
+        )
+    try:
+        return _connect_worker(pipe, scheduler, address, label(address), request)
+    except (OSError, EOFError) as error:
+        breaker.record_failure()
+        raise PipeConnectionLost(
+            f"connect to {address!r} failed: {error!r}",
+            address=address,
+            reason="connect failed",
+        ) from error
+
+
 def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
     """Ship *pipe*'s body to its generator server.
 
     Returns a running :class:`RemoteWorker` (connected, request sent,
     pump submitted, session tracked by *scheduler*) — or the reason the
-    body cannot run there (it does not travel, or no server can be
-    reached), and :meth:`Pipe.start` degrades to the thread backend.
-    The body is pickled once, for the request.  Scheduler shutdown is
-    **not** degradation: it propagates
-    :class:`~repro.errors.SchedulerShutdownError` exactly as the other
-    backends do.
+    body cannot run there (it does not travel, the breaker is open, or
+    no server can be reached), and :meth:`Pipe.start` degrades to the
+    thread backend.  The body is pickled once, for the request.
 
     An open :class:`CircuitBreaker` for the target address degrades
     *without dialing* — while the server is shedding (or down), remote
@@ -728,14 +632,6 @@ def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
     if isinstance(body, str):
         return body
     options = pipe.options
-    address = options.remote_address
-    pooled = hasattr(address, "dial_candidates")
-    breaker = None if pooled else breaker_for(address)
-    if breaker is not None and not breaker.allow():
-        return (
-            f"circuit breaker open for {address!r} "
-            f"(probe in {breaker.remaining():.2f}s)"
-        )
     name = pipe.coexpr.name
     request = (
         WIRE_SPAWN,
@@ -748,53 +644,33 @@ def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
             "quota": True,
         },
     )
-    if pooled:
-        # Cluster tier: per-replica breakers are consulted inside the
-        # candidate walk; only a fleet-wide refusal degrades (replica ->
-        # next replica -> threads).
-        try:
-            return _dial_pooled(pipe, scheduler, address, name, request)
-        except PipeConnectionLost as error:
-            return str(error)
     try:
-        return _connect_worker(pipe, scheduler, address, name, request)
-    except (OSError, EOFError) as error:
-        breaker.record_failure()
-        return f"connect to {address!r} failed: {error!r}"
+        return _dial(pipe, scheduler, request, lambda address: name)
+    except PipeConnectionLost as error:
+        return str(error)
 
 
-class RemotePipe(IconIterator):
+class RemotePipe(Pipe):
     """A pipe over a factory the *server* registered by name.
 
-    The consumer-facing twin of ``Pipe(..., backend="remote")`` for
-    bodies that only exist server-side: ``RemotePipe(address, "events",
-    args=(...,))`` asks the server to run its ``events`` factory and
-    streams the results through a local channel with the same take /
-    iterate / cancel surface a :class:`~repro.coexpr.pipe.Pipe` has.
+    ``RemotePipe(address, "events", args=(...,))`` asks the server to
+    run its ``events`` factory and streams the results through the
+    pipe's channel — a :class:`~repro.coexpr.pipe.Pipe` in every other
+    respect: ``take``, its timeout and deadline, ``cancel`` and the
+    degrade rules of the stages it feeds are the pipe's own.
 
-    There is no local body to fall back to, so connection failures
-    raise :class:`~repro.errors.PipeConnectionLost` instead of
-    degrading.  ``refresh()`` returns a sibling proxy — a *new*
-    connection replaying the factory from the start — which is what
-    supervision needs for reconnect-and-replay.
+    There is no local body to fall back to, so where ``backend="remote"``
+    degrades this pipe raises: :class:`~repro.errors.PipeServerBusy`
+    while the address's breaker is open and
+    :class:`~repro.errors.PipeConnectionLost` when no server can be
+    reached (the pipe stays unstarted, so a retry dials again).
+    ``refresh()`` returns a sibling proxy — a *new* connection
+    replaying the factory from the start, with the same deadline and
+    server pool — which is what supervision needs for
+    reconnect-and-replay.
     """
 
-    __slots__ = (
-        "address",
-        "factory_name",
-        "args",
-        "options",
-        "capacity",
-        "out",
-        "take_timeout",
-        "deadline",
-        "upstream",
-        "_scheduler",
-        "_worker",
-        "_started",
-        "_cancelled",
-        "_errored",
-    )
+    __slots__ = ("factory_name", "args")
 
     def __init__(
         self,
@@ -813,147 +689,39 @@ class RemotePipe(IconIterator):
         # becomes a ServerPool; a single (host, port) stays a tuple; an
         # existing pool is shared (routing memory — suspicion, failover
         # history — persists across refresh()).
-        self.options = options = PipeOptions(
-            capacity=capacity,
+        super().__init__(
+            CoExpression(tuple, name=name),  # the body lives on the server
+            capacity,
+            scheduler,
             take_timeout=take_timeout,
             batch=batch,
+            backend="remote",
             heartbeat_interval=heartbeat_interval,
             heartbeat_timeout=heartbeat_timeout,
             remote_address=address,
             deadline=deadline,
         )
-        super().__init__()
-        self.address = options.remote_address
         self.factory_name = name
         self.args = tuple(args)
-        self.capacity = capacity
-        self.out = Channel(capacity)
-        self.take_timeout = take_timeout
-        #: End-to-end budget; shipped to the server in the handshake.
-        self.deadline = options.deadline
-        self.upstream: Any = None
-        self._scheduler = scheduler
-        self._worker: RemoteWorker | None = None
-        self._started = False
-        self._cancelled = False
-        self._errored = False
 
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.factory_name}", 0, value))
+    #: The server (a ``(host, port)`` tuple) or the shared server pool.
+    address = property(lambda self: self.options.remote_address)
 
-    def _deadline_error(self, where: str) -> PipeDeadlineExceeded:
-        self._emit(EventKind.DEADLINE_EXPIRED, {"where": where, "remaining": 0.0})
-        return PipeDeadlineExceeded(
-            f"remote pipe {self.factory_name!r}: deadline exceeded ({where})",
-            where=where,
-        )
-
-    def _cancel_upstream(self) -> None:
-        upstream = self.upstream
-        if upstream is not None:
-            canceller = getattr(upstream, "cancel", None)
-            if canceller is not None:
-                canceller()
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> "RemotePipe":
-        """Connect and start streaming (idempotent; lazy via take).
-
-        An expired deadline short-circuits before the dial; an open
-        circuit breaker fails fast with
-        :class:`~repro.errors.PipeServerBusy` (retryable — there is no
-        local body to degrade to).
-        """
-        if self._started or self._cancelled:
-            return self
-        deadline = self.deadline
-        if deadline is not None and deadline.expired():
-            error = self._deadline_error("start")
-            self.cancel()
-            raise error
-        pooled = hasattr(self.address, "dial_candidates")
-        if not pooled:
-            breaker = breaker_for(self.address)
-            if not breaker.allow():
-                raise PipeServerBusy(
-                    f"remote pipe {self.factory_name!r}: circuit breaker open "
-                    f"for {self.address!r}",
-                    address=self.address,
-                    retry_after=breaker.remaining(),
-                )
-        self._started = True
-        scheduler = self._scheduler or default_scheduler()
+    def _start_tier(self, scheduler: Any) -> RemoteWorker:
+        options = self.options
         request = (
             WIRE_CALL,
             {
                 "name": self.factory_name,
                 "args": self.args,
-                "batch": self.options.batch,
+                "batch": options.batch,
                 "max_linger": None,
-                "heartbeat_interval": self.options.beat_interval,
+                "heartbeat_interval": options.beat_interval,
                 "quota": True,
             },
         )
-        if pooled:
-            # Cluster tier: walk the replicas (per-replica breakers are
-            # consulted inside).  Only a fleet-wide refusal propagates —
-            # there is no local body to degrade to.
-            try:
-                self._worker = _dial_pooled(
-                    self,
-                    scheduler,
-                    self.address,
-                    self.factory_name,
-                    request,
-                    label=lambda a: f"{self.factory_name}@{a[0]}:{a[1]}",
-                )
-            except BaseException:
-                self._started = False
-                raise
-            return self
-        label = f"{self.factory_name}@{self.address[0]}:{self.address[1]}"
-        try:
-            self._worker = _connect_worker(
-                self, scheduler, self.address, label, request
-            )
-        except (OSError, EOFError) as error:
-            # Un-start on a failed dial: with _started left set, a
-            # retrying take() would skip the reconnect and block forever
-            # on a channel nothing will ever feed or close.
-            self._started = False
-            breaker.record_failure()
-            raise PipeConnectionLost(
-                f"remote pipe {self.factory_name!r}: cannot reach "
-                f"{self.address!r} ({error!r})",
-                address=self.address,
-                reason="connect failed",
-            ) from error
-        except BaseException:
-            self._started = False
-            raise
-        return self
-
-    def cancel(self, join: bool = False, timeout: float | None = None) -> bool:
-        """Stop the remote session and close the local channel."""
-        first = not self._cancelled
-        self._cancelled = True
-        if first:
-            self.out.close()
-            worker = self._worker
-            if worker is not None:
-                worker.terminate()
-        worker = self._worker
-        if worker is None:
-            return True
-        if join:
-            return worker.join(timeout)
-        return not worker.is_alive()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
+        name = self.factory_name
+        return _dial(self, scheduler, request, lambda a: f"{name}@{a[0]}:{a[1]}")
 
     def refresh(self) -> "RemotePipe":
         """A sibling proxy: a fresh connection replaying the factory."""
@@ -971,60 +739,6 @@ class RemotePipe(IconIterator):
             deadline=self.deadline,  # the same budget: a refresh is not a reset
         )
 
-    # -- consumer --------------------------------------------------------------
-
-    def take(self, timeout: Any = _UNSET) -> Any:
-        """The next result or :data:`FAIL`; deadline like ``Pipe.take``."""
-        if timeout is _UNSET:
-            timeout = self.take_timeout
-        deadline = self.deadline
-        if deadline is not None:
-            if deadline.expired():
-                error = self._deadline_error("take")
-                self.cancel()
-                raise error
-            timeout = deadline.bound(timeout)
-        try:
-            self.start()
-            item = self.out.take(timeout)
-        except PipeDeadlineExceeded:
-            # The server session's own expiry envelope (or a start-time
-            # short-circuit): tear down and let it through unwrapped.
-            self.cancel()
-            raise
-        except PipeTimeoutError:
-            if deadline is not None and deadline.expired():
-                error = self._deadline_error("take")
-                self.cancel()
-                raise error from None
-            raise PipeTimeoutError(
-                f"remote pipe {self.factory_name!r}: no result within {timeout}s"
-            ) from None
-        if item is CLOSED:
-            return FAIL
-        return item
-
-    def next_value(self) -> Any:
-        return self.take()
-
-    def iterate(self) -> Iterator[Any]:
-        self.start()
-        while True:
-            item = self.take()
-            if item is FAIL:
-                return
-            yield item
-
-    # -- runtime protocol hooks ------------------------------------------------
-
-    def icon_activate(self, transmit: Any = None) -> Any:
-        if transmit is not None:
-            raise PipeError("cannot transmit a value into a remote pipe")
-        return self.take()
-
-    def icon_promote(self) -> Iterator[Any]:
-        return self.iterate()
-
     def icon_type(self) -> str:
         return "remote-pipe"
 
@@ -1036,5 +750,5 @@ class RemotePipe(IconIterator):
         )
         return (
             f"RemotePipe({self.factory_name}@{self.address!r}, {state}, "
-            f"queued={len(self.out)})"
+            f"queued={self._queued()})"
         )

@@ -29,9 +29,11 @@ from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.patterns import pipeline, source_pipe, stage
 from repro.coexpr.pipe import Pipe
+from repro.coexpr import proc
 from repro.coexpr.proc import KILLED_EXIT, default_context, spawn_unsafe_reason
 from repro.coexpr.scheduler import PipeScheduler
 from repro.coexpr.supervision import FaultPlan, supervise
+from repro.coexpr.wire import WIRE_CLOSE, WIRE_DATA
 from repro.monitor import EventKind, Tracer
 
 pytestmark = pytest.mark.skipif(
@@ -305,6 +307,29 @@ class TestWorkerLost:
             for value in pipe.iterate():
                 got.append(value)
         assert got == [1, 2, 3, 4]
+
+    def test_unknown_envelope_is_a_protocol_violation(self, monkeypatch):
+        # A child that sends a kind the pump does not know has broken
+        # the protocol: the data before it arrives, then the loss —
+        # never a clean end of stream.
+        def child(conn, *args):
+            for envelope in (
+                (WIRE_DATA, [1, 2]),
+                ("bogus", 3),
+                (WIRE_DATA, [4]),
+                (WIRE_CLOSE,),
+            ):
+                conn.send(envelope)
+            conn.close()
+
+        monkeypatch.setattr(proc, "_child_main", child)
+        pipe = proc_pipe(counted(5)).start()
+        got = []
+        with pytest.raises(PipeWorkerLost, match="protocol violation"):
+            for value in pipe.iterate():
+                got.append(value)
+        assert got == [1, 2]
+        assert pipe.take() is FAIL
 
 
 class TestSupervisedRecovery:

@@ -280,6 +280,41 @@ class TestDeadlines:
         release.set()
         chain.cancel(join=True, timeout=2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda src: pipeline(src, lambda x: x, take_timeout=0.1),
+            lambda src: supervised_pipeline(
+                src, lambda x: x, lambda x: x, take_timeout=0.1
+            ),
+        ],
+        ids=["pipeline", "supervised_pipeline"],
+    )
+    def test_upstream_stall_loses_no_data(self, build, pipe_scheduler):
+        # A stall above a stage is longer than take_timeout: the
+        # consumer sees timeouts, and the chain stays usable — the stage
+        # bodies take from their upstream without a timeout.
+        def slow():
+            for i in range(4):
+                time.sleep(0.3)
+                yield i
+
+        chain = build(slow)
+        values, timeouts = [], 0
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                value = chain.take()
+            except PipeTimeoutError:
+                timeouts += 1
+                continue
+            if value is FAIL:
+                break
+            values.append(value)
+        chain.cancel(join=True, timeout=2)
+        assert values == [0, 1, 2, 3]
+        assert timeouts >= 1
+
     def test_per_call_override_beats_pipe_default(self, pipe_scheduler):
         release = threading.Event()
 

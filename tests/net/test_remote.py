@@ -23,10 +23,11 @@ from repro.coexpr.supervision import (
     NO_BACKOFF,
     supervise,
     supervised_pipeline,
+    supervised_stage,
 )
-from repro.errors import PipeConnectionLost
+from repro.errors import PipeConnectionLost, RetryExhaustedError
 from repro.monitor import EventKind, Tracer
-from repro.net import AsyncGeneratorServer, GeneratorServer
+from repro.net import AsyncGeneratorServer, GeneratorServer, RemotePipe
 from repro.net.client import remote_unsafe_reason
 
 
@@ -471,3 +472,41 @@ class TestSupervisedRecovery:
             while True:
                 server.kill_sessions()
                 next(it)
+
+
+def count_to(n):
+    return iter(range(n))
+
+
+class TestRemotePipeIsAPipe:
+    """A RemotePipe feeding a stage obeys the stage's degrade rules."""
+
+    def test_process_stage_over_remote_pipe_degrades(self, server):
+        # The forked child would inherit the started session's buffered
+        # items and nothing after them: the stage must run in the parent.
+        server.register("count", count_to)
+        upstream = RemotePipe(server.address, "count", args=(49,), capacity=2).start()
+        piped = stage(increment, upstream, backend="process", take_timeout=3).start()
+        assert piped.degraded is not None
+        assert list(piped.iterate()) == [x + 1 for x in range(49)]
+
+    def test_async_stage_over_remote_pipe_degrades(self, server):
+        # A RemotePipe's take blocks: on the shared loop it would stall
+        # every other task.
+        server.register("count", count_to)
+        upstream = RemotePipe(server.address, "count", args=(20,))
+        piped = stage(increment, upstream, backend="async", take_timeout=3).start()
+        assert "starve the loop" in piped.degraded
+        assert list(piped.iterate()) == [x + 1 for x in range(20)]
+
+    def test_supervised_stage_cancels_remote_upstream_when_it_gives_up(self, server):
+        server.register("count", count_to)
+        upstream = RemotePipe(server.address, "count", args=(1000,), capacity=2)
+        mid = supervised_stage(
+            crash_on_seven, upstream, max_retries=0, backoff=NO_BACKOFF
+        )
+        assert mid.upstream is upstream
+        with pytest.raises(RetryExhaustedError):
+            list(mid.iterate())
+        assert upstream.cancelled
+        mid.cancel(join=True, timeout=2.0)
