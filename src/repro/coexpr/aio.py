@@ -249,21 +249,6 @@ class AsyncChannel:
             self._cond.notify_all()
         return batch
 
-    async def feed_wire(self, kind: str, payload: Any = None) -> bool:
-        """Apply one wire envelope (the async pump hook); True on close."""
-        from .wire import WIRE_BEAT, WIRE_CLOSE, WIRE_DATA, WIRE_ERROR
-
-        if kind == WIRE_DATA:
-            await self.put_many(payload)
-        elif kind == WIRE_ERROR:
-            self.put_error(payload)
-        elif kind == WIRE_CLOSE:
-            self.close()
-            return True
-        elif kind != WIRE_BEAT:
-            raise ValueError(f"unknown wire envelope kind {kind!r}")
-        return False
-
     # -- inspection ----------------------------------------------------------
 
     @property

@@ -25,8 +25,11 @@ The handoff costs only what it has to.  Each operation holds the channel
 lock directly, and wakes the other side only when a thread is actually
 asleep on it: the channel counts the threads blocked on each condition,
 under the lock, so a producer running ahead of a busy consumer (or the
-reverse) pays no condition-variable notify per item.  A :meth:`take_many`
-with no error queued drains the whole queue in one copy.
+reverse) pays no condition-variable notify per item.  A consumer that
+has been notified but has not yet run is not notified again, so a
+producer that keeps putting while its consumer waits for the GIL pays
+one notify per sleep, not one per item.  A :meth:`take_many` with no
+error queued drains the whole queue in one copy.
 """
 
 from __future__ import annotations
@@ -56,13 +59,6 @@ class _ClosedSentinel:
 
 #: Returned by ``take`` once a channel is closed and drained.
 CLOSED = _ClosedSentinel()
-
-
-# The wire-envelope vocabulary lives in :mod:`repro.coexpr.wire` (it is
-# shared with the socket transports of :mod:`repro.net`); re-exported
-# here because the tags mirror this class's methods and both ends of
-# every transport speak one protocol.
-from .wire import WIRE_BEAT, WIRE_CLOSE, WIRE_DATA, WIRE_ERROR  # noqa: F401,E402
 
 
 class RaiseEnvelope:
@@ -121,11 +117,17 @@ class Channel:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
-        # Threads blocked in _not_empty / _not_full, and RaiseEnvelopes
-        # queued; all three change only under _lock.  A waiter counts
-        # itself before it re-checks its predicate, so a notify skipped
-        # because a count was zero can never strand a sleeper.
+        # Threads blocked in _not_empty / _not_full, takers notified but
+        # not yet run, and RaiseEnvelopes queued; all change only under
+        # _lock.  A waiter counts itself before it re-checks its
+        # predicate, so a notify skipped because a count was zero can
+        # never strand a sleeper.  Every taker that returns from a wait,
+        # notified or not, retires one pending wakeup, so _woken never
+        # exceeds the takers notified and not yet run: a notify skipped
+        # because _woken == _takers only skips takers already on their
+        # way.
         self._takers = 0
+        self._woken = 0
         self._putters = 0
         self._envelopes = 0
 
@@ -135,9 +137,22 @@ class Channel:
         self._takers += 1
         try:
             while not self._items and not self._closed:
-                deadline_wait(self._not_empty, deadline, what)
+                try:
+                    deadline_wait(self._not_empty, deadline, what)
+                finally:
+                    if self._woken:
+                        self._woken -= 1
         finally:
             self._takers -= 1
+
+    def _wake_takers(self, n: int) -> None:
+        """Notify up to *n* sleeping takers that are not already woken;
+        caller holds ``_lock`` and has just queued *n* items."""
+        idle = self._takers - self._woken
+        if idle > 0:
+            n = min(n, idle)
+            self._woken += n
+            self._not_empty.notify(n)
 
     def _await_space(self, deadline: float | None, what: str) -> None:
         """Wait, counted, until a bounded channel has space or closes;
@@ -184,7 +199,7 @@ class Channel:
                 raise ChannelClosedError("put on a closed channel")
             self._items.append(item)
             if self._takers:
-                self._not_empty.notify()
+                self._wake_takers(1)
 
     def put_many(self, items: Iterable[Any], timeout: float | None = None) -> int:
         """Enqueue every element of *items* under (at most) one lock
@@ -225,7 +240,7 @@ class Channel:
                 self._items.extend(chunk)
                 sent += len(chunk)
                 if self._takers:
-                    self._not_empty.notify(len(chunk))
+                    self._wake_takers(len(chunk))
                 if sent >= len(batch):
                     return sent
 
@@ -242,7 +257,7 @@ class Channel:
             self._items.append(RaiseEnvelope(error))
             self._envelopes += 1
             if self._takers:
-                self._not_empty.notify()
+                self._wake_takers(1)
 
     def close(self) -> None:
         """Close the channel; queued items remain takeable.
@@ -318,26 +333,6 @@ class Channel:
             if self._putters:
                 self._not_full.notify(len(batch))
         return batch
-
-    def feed_wire(self, kind: str, payload: Any = None) -> bool:
-        """Apply one wire envelope to this channel; the pump-thread hook.
-
-        Maps :data:`WIRE_DATA` to :meth:`put_many`, :data:`WIRE_ERROR`
-        to :meth:`put_error` (*payload* must already be an exception),
-        and :data:`WIRE_CLOSE` to :meth:`close`; :data:`WIRE_BEAT` is a
-        no-op (liveness is the transport's concern, not the queue's).
-        Returns True once the stream is complete (a close envelope).
-        """
-        if kind == WIRE_DATA:
-            self.put_many(payload)
-        elif kind == WIRE_ERROR:
-            self.put_error(payload)
-        elif kind == WIRE_CLOSE:
-            self.close()
-            return True
-        elif kind != WIRE_BEAT:
-            raise ValueError(f"unknown wire envelope kind {kind!r}")
-        return False
 
     def poll(self) -> Any:
         """Non-blocking take: an item, or :data:`CLOSED`, or None if empty."""

@@ -19,11 +19,12 @@ into this module:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, MutableMapping
+from typing import Any, Iterable, Iterator, MutableMapping
 
 from ..errors import IconNotAFunctionError
 from ..runtime.failure import FAIL, Suspension
 from ..runtime.functions import BUILTINS, keyword, set_keyword
+from ..runtime.invoke import IconOptimizedBody
 from ..runtime.iterator import IconIterator, as_iterator
 from ..runtime.refs import IconVar, Ref, deref
 
@@ -143,29 +144,34 @@ def invoke_value(callee: Any, *args: Any) -> Any:
     raise IconNotAFunctionError(f"invocation of a {type(callee).__name__} value")
 
 
-def call_results(callee: Any, *args: Any) -> Iterator[Any]:
-    """Iterate an invocation's results, already dereferenced.
+def call_results(callee: Any, *args: Any) -> Iterable[Any]:
+    """An invocation's results, already dereferenced, as an iterable.
 
     The optimizing compile target (:mod:`repro.lang.optimize`) lowers a
-    normalized call site to ``for v in call_results(f, a, b): ...`` — one
-    generator frame replacing the ``IconInvokeIterator`` wrapper plus the
-    per-result ``deref``/``unwrap`` of the interpreted path.  Delegation
-    follows :func:`invoke_value`: generator-function results and Junicon
-    method bodies are iterated; plain host results are singletons;
-    :data:`FAIL` yields nothing.
+    normalized call site to ``for v in call_results(f, a, b): ...``.
+    Delegation follows :func:`invoke_value`: generator-function results
+    and Junicon method bodies are iterated; plain host results are
+    singletons; :data:`FAIL` is empty.  The call is made now, and no
+    frame is added where none is needed: a lowered Junicon body's own
+    ``iterate()`` is returned as it is (it yields dereferenced values),
+    and only an interpreted body or a host iterator gets a deref'ing
+    generator around it.
     """
     result = invoke_value(callee, *args)
     if result is FAIL:
-        return
+        return ()
     if isinstance(result, IconIterator):
-        for item in result.iterate():
-            yield deref(item)
-        return
+        if isinstance(result, IconOptimizedBody):
+            return result.iterate()
+        return _dereferenced(result.iterate())
     if hasattr(result, "__next__"):
-        for item in result:
-            yield deref(item)
-        return
-    yield deref(result)
+        return _dereferenced(result)
+    return (result.get() if isinstance(result, Ref) else result,)
+
+
+def _dereferenced(results: Iterable[Any]) -> Iterator[Any]:
+    for item in results:
+        yield deref(item)
 
 
 def first_result(results: Any) -> Any:

@@ -5,17 +5,21 @@ tree of :class:`~repro.runtime.iterator.IconIterator` nodes and interprets
 it per element.  This pass recognizes the common normalized shapes —
 alternation, products, ``every``/``do``, limitation, sequencing, to-by
 ranges, arithmetic/comparison operations, invocation chains, ``case``,
-loops, and ``suspend``-only bodies — and emits one straight Python
+loops, ``suspend``-only bodies, and the concurrency calculus (``::``,
+``<>``, ``|<>``, ``|>``, ``@``, ``^``) — and emits one straight Python
 generator function per procedure: results travel by ``yield``, products
-become nested ``for`` loops, and ``break``/``next``/``return``/``fail``
-ride the same control signals the runtime already uses, so no per-step
-iterator objects are allocated on the lowered paths.
+become nested ``for`` loops, a ``return`` in the procedure's own frame
+yields its value and returns, and ``break``/``next``/``fail`` (and a
+``return`` from a helper) ride the same control signals the runtime
+already uses, so no per-step iterator objects are allocated on the
+lowered paths.  A co-expression or pipe body becomes a generator
+function over shadow cells and fresh temporaries (:meth:`factory`).
 
 What the pass does *not* understand it does not guess at: any unsupported
-subtree (string scanning, co-expression literals and activation,
-subscripts/sections/fields, reversible assignment and swaps, embedded host
-code, ...) is compiled by the existing :class:`ExpressionCompiler` into a
-runtime tree hoisted once per body construction and driven with
+subtree (string scanning, subscripts/sections/fields, reversible
+assignment and swaps, embedded host code, ``suspend`` inside a
+co-expression, ...) is compiled by the existing :class:`ExpressionCompiler`
+into a runtime tree hoisted once per body construction and driven with
 ``.iterate()`` in place — a shape-by-shape fallback sharing the same
 reified cells and temporaries, so lowered and interpreted fragments
 interoperate inside one procedure.  Procedures using ``initial`` clauses
@@ -24,7 +28,9 @@ or ``static`` locals fall back wholesale to the interpreted target.
 Observable deviations (pinned by the differential corpus): optimized
 procedures deliver *dereferenced values* where the interpreted path may
 suspend assignable references; both spellings are indistinguishable to a
-caller, which dereferences results anyway.
+caller, which dereferences results anyway.  A lowered ``<>e`` is an
+:class:`~repro.runtime.iterator.IconGenerator`, so ``type(<>e)`` names
+that class rather than the root node of ``e``'s interpreted tree.
 
 Per translated unit a ``COMPILE`` event (shapes lowered vs fallbacks) is
 emitted on the monitor bus; :meth:`repro.monitor.tracer.Tracer.compile_stats`
@@ -49,6 +55,8 @@ from .transform import (
     ExpressionCompiler,
     Scope,
     collect_locals,
+    referenced_names,
+    referenced_temps,
 )
 
 #: value functions whose result can be FAIL (comparisons return their right
@@ -142,6 +150,10 @@ class GeneratorLowering:
         self.lowered: List[str] = []
         self.fallbacks: List[str] = []
         self._counter = 0
+        #: True while emitting into the procedure's own ``_gen`` frame,
+        #: where a ``return`` can yield its value and return; helpers and
+        #: co-expression factories raise a ReturnSignal instead
+        self._body_frame = True
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -158,6 +170,18 @@ class GeneratorLowering:
         if len(w.lines) == mark:
             w.emit("pass")
         w.dedent()
+
+    @contextmanager
+    def frame(self):
+        """Emit into a nested function scope (a co-expression factory):
+        hoists and helpers made meanwhile are collected apart, to be
+        defined inside that function, so they close over its cells."""
+        saved = self.hoists, self.helpers, self._body_frame
+        self.hoists, self.helpers, self._body_frame = [], [], False
+        try:
+            yield self.hoists, self.helpers
+        finally:
+            self.hoists, self.helpers, self._body_frame = saved
 
     def _snapshot(self, w: CodeWriter) -> tuple:
         return (
@@ -335,6 +359,11 @@ class GeneratorLowering:
         chain = self._bounded_chain(w, node)
         if chain is not None:
             return chain
+        if isinstance(node, _SINGLETONS):
+            # Straight-line code (or, embedded, a loop run exactly once).
+            out: List[str] = []
+            self.results(w, node, lambda bw, v: out.append(self.materialize(bw, v)))
+            return out[0]
         if contains_suspend(node):
             raise Unsupported("suspend in bounded position")
         helper = self.helper(node)
@@ -401,15 +430,60 @@ class GeneratorLowering:
         hw.emit(f"def {name}():")
         hw.indent()
         mark = len(hw.lines)
-        self.results(hw, node, lambda w, v: w.emit(f"yield {v}"))
-        if not any("yield" in line for line in hw.lines[mark:]):
-            if len(hw.lines) == mark:
-                hw.emit("pass")
-            hw.emit("return")
-            hw.emit("yield None  # unreachable; makes this a generator")
+        saved, self._body_frame = self._body_frame, False
+        try:
+            self.results(hw, node, lambda w, v: w.emit(f"yield {v}"))
+        finally:
+            self._body_frame = saved
+        _ensure_generator(hw, mark)
         hw.dedent()
         self.helpers.append(hw.lines)
         return name
+
+    def factory(self, body: ast.Node) -> Tuple[str, str]:
+        """Compile a co-expression *body* into a generator function
+        ``_fN(*snapshot)``; returns ``(name, env_getter)`` for
+        ``CoExpression(name, env_getter)``.
+
+        Section V.D's copied environment: each call rebinds the locals the
+        body references to shadow cells over the snapshot values, and the
+        normalization temporaries it references to fresh ones, so two
+        instances from one site (pipes made in a loop) share no state.
+        Hoists and helpers are defined inside the factory, over those
+        cells.  ``None`` stands for "no snapshot" (no locals referenced).
+        """
+        if contains_suspend(body):
+            raise Unsupported("suspend inside co-expression")
+        shadowed = sorted(
+            name
+            for name in referenced_names(body)
+            if self.scope.resolve(name)[0] == "local"
+        )
+        cells = [self.scope.locals_map[name] for name in shadowed]
+        name = self.fresh("_f")
+        gw = CodeWriter()
+        with self.frame() as (hoists, helpers):
+            self.results(gw, body, lambda w, v: w.emit(f"yield {v}"))
+        _ensure_generator(gw, 0)
+        fw = CodeWriter()
+        fw.emit(f"def {name}({', '.join(f'_sv{i}' for i in range(len(cells)))}):")
+        fw.indent()
+        for i, (local, cell) in enumerate(zip(shadowed, cells)):
+            fw.emit(f"{cell} = shadow(_sv{i}, {local!r})")
+        for index in sorted(referenced_temps(body)):
+            fw.emit(f"_t{index} = IconTmp()")
+        for line in hoists:
+            fw.emit(line)
+        for helper_lines in helpers:
+            for line in helper_lines:
+                fw.emit(line)
+        for line in gw.lines:
+            fw.emit(line)
+        fw.dedent()
+        self.helpers.append(fw.lines)
+        if not cells:
+            return name, "None"
+        return name, f"lambda: ({', '.join(f'{cell}.get()' for cell in cells)},)"
 
     # -- result-sequence emission ----------------------------------------------
 
@@ -453,6 +527,58 @@ class GeneratorLowering:
 
     def _r_ListLit(self, w: CodeWriter, node: ast.ListLit, k: Continuation) -> None:
         k(w, self._bounded_list(w, node))
+
+    # the concurrency calculus (paper Figure 1)
+
+    def _r_NativeInvoke(self, w: CodeWriter, node: ast.NativeInvoke, k: Continuation) -> None:
+        # ``o::m(...)``: a plain host call, its result promoted to a singleton.
+        self.lowered.append("native-invoke")
+        subject = self.atom_value(node.subject)
+        args = ", ".join(self.atom_value(arg) for arg in node.args)
+        var = self.fresh()
+        w.emit(f"{var} = deref(({subject}).{node.name}({args}))")
+        k(w, var)
+
+    def _r_FirstClass(self, w: CodeWriter, node: ast.FirstClass, k: Continuation) -> None:
+        # ``<>e``: an iterator node over a helper sharing this frame's
+        # cells, so ``@`` steps it, ``^`` restarts it and ``!`` re-runs it.
+        helper = self.helper(node.expr)
+        self.lowered.append("first-class")
+        var = self.fresh()
+        w.emit(f"{var} = IconGenerator({helper})")
+        k(w, var)
+
+    def _r_CoExprLit(self, w: CodeWriter, node: ast.Node, k: Continuation) -> None:
+        # ``|<>e``, and ``|>e`` as the pipe over it.
+        factory, getter = self.factory(node.expr)
+        pipe = isinstance(node, ast.PipeLit)
+        self.lowered.append("pipe" if pipe else "co-expression")
+        var = self.fresh()
+        suffix = ".create_pipe()" if pipe else ""
+        w.emit(f"{var} = CoExpression({factory}, {getter}){suffix}")
+        k(w, var)
+
+    _r_PipeLit = _r_CoExprLit
+
+    def _r_Activate(self, w: CodeWriter, node: ast.Activate, k: Continuation) -> None:
+        self.lowered.append("activate")
+
+        def step(aw: CodeWriter, target: str) -> None:
+            t = self.materialize(aw, target)
+            sent = "None"
+            if node.transmit is not None:
+                sent = self.bounded(aw, node.transmit)
+                aw.emit(f"if {sent} is not FAIL:")
+                aw.indent()
+            out = self.fresh()
+            aw.emit(f"{out} = deref(activate_value({t}, {sent}))")
+            aw.emit(f"if {out} is not FAIL:")
+            with self.block(aw):
+                k(aw, out)
+            if node.transmit is not None:
+                aw.dedent()
+
+        self.results(w, node.target, step)
 
     # operators
 
@@ -515,6 +641,18 @@ class GeneratorLowering:
                 w.emit(f"if not {flag}:")
                 with self.block(w):
                     w.emit("break")
+            return
+        if op == "^":
+            # Refresh the first result, then iterate what refresh returns
+            # as an invocation result (IconInvokeIterator's rule).
+            self.lowered.append("refresh")
+            v = self.bounded(w, node.operand)
+            w.emit(f"if {v} is not FAIL:")
+            with self.block(w):
+                r = self.fresh("_r")
+                w.emit(f"for {r} in call_results(_jrefresh, {v}):")
+                with self.block(w):
+                    k(w, r)
             return
         if op in UNARY_FN:
             fn = UNARY_FN[op]
@@ -780,12 +918,24 @@ class GeneratorLowering:
             return
         if isinstance(node, ast.Return):
             self.lowered.append("return")
-            if node.expr is None:
-                w.emit("raise ReturnSignal(None)")
+            if not self._body_frame:
+                # Out of a helper or factory: the body wrapper catches it.
+                if node.expr is None:
+                    w.emit("raise ReturnSignal(None)")
+                    return
+                v = self.bounded(w, node.expr)
+                # FAIL rides the signal: the body wrapper turns it into failure.
+                w.emit(f"raise ReturnSignal({v})")
                 return
-            v = self.bounded(w, node.expr)
-            # FAIL rides the signal: the body wrapper turns it into failure.
-            w.emit(f"raise ReturnSignal({v})")
+            s = self.simple(node.expr) if node.expr is not None else ("None", False)
+            if s is not None and not s[1]:
+                w.emit(f"yield {s[0]}")
+            else:
+                v = self.bounded(w, node.expr)
+                w.emit(f"if {v} is not FAIL:")
+                with self.block(w):
+                    w.emit(f"yield {v}")
+            w.emit("return")
             return
         if isinstance(node, ast.Fail):
             self.lowered.append("fail")
@@ -924,6 +1074,17 @@ class GeneratorLowering:
             self._drain_break(w, s2, bounded)
 
 
+#: shapes with exactly one result, evaluated in straight-line code
+_SINGLETONS = (ast.NativeInvoke, ast.FirstClass, ast.CoExprLit, ast.PipeLit)
+
+
+def _ensure_generator(w: CodeWriter, mark: int) -> None:
+    """Make the function whose body starts at line *mark* a generator."""
+    if not any("yield" in line for line in w.lines[mark:]):
+        w.emit("return")
+        w.emit("yield None  # unreachable; makes this a generator")
+
+
 def _flatten_product(node: ast.Node) -> List[ast.Node]:
     if isinstance(node, ast.Binary) and node.op == "&":
         return _flatten_product(node.left) + _flatten_product(node.right)
@@ -966,11 +1127,7 @@ def emit_method_optimized(
     except TransformError:
         _emit_compile_event(method.name, False, [], ["transform-error"])
         return False
-    if not any("yield" in line for line in gen.lines):
-        gen.emit("return")
-        gen.emit("yield None  # unreachable; makes this a generator")
-    if not gen.lines:
-        gen.emit("yield None")
+    _ensure_generator(gen, 0)
 
     name = method.name
     writer.emit(f"def {name}(*_args):")

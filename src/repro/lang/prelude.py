@@ -63,7 +63,7 @@ from ..runtime.operations import (
     IconSwap,
     IconToBy,
 )
-from ..runtime.promote import IconActivate, IconPromote, promote_value
+from ..runtime.promote import IconActivate, IconPromote, activate_value, promote_value
 from ..runtime.refs import FieldRef, IconTmp, IconVar, deref
 from ..runtime.scanning import IconScan, tab_match
 from ..runtime.types import Cset
@@ -150,6 +150,7 @@ __all__ = [
     "Pipe",
     "ReturnSignal",
     "Suspension",
+    "activate_value",
     "break_results",
     "call_results",
     "case_match",

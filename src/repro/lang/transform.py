@@ -368,9 +368,11 @@ class ExpressionCompiler:
         """Synthesize ``CoExpression(factory, env_getter)`` with shadowing.
 
         The factory takes the snapshot values and rebinds the referenced
-        local cells to fresh shadow cells of the same (generated) names —
+        local cells to fresh shadow cells of the same (generated) names,
+        and the referenced normalization temporaries to fresh ones —
         Python's lexical scoping then makes the body expression compile
-        identically inside and outside the co-expression.
+        identically inside and outside the co-expression, and two
+        co-expressions made at one site share no state.
         """
         shadowed = sorted(
             name
@@ -378,18 +380,23 @@ class ExpressionCompiler:
             if self.scope.resolve(name)[0] == "local"
         )
         cells = [self.scope.locals_map[name] for name in shadowed]
+        temps = [f"_t{index}" for index in sorted(referenced_temps(body))]
         body_code = self.c(body)
+        if cells or temps:
+            rebinds = [
+                f"shadow(_sv{i}, {name!r})" for i, name in enumerate(shadowed)
+            ] + ["IconTmp()"] * len(temps)
+            body_code = (
+                f"(lambda {', '.join(cells + temps)}: {body_code})"
+                f"({', '.join(rebinds)})"
+            )
         if not cells:
             return f"CoExpression(lambda: {body_code})"
         values = ", ".join(f"_sv{i}" for i in range(len(cells)))
-        rebinds = ", ".join(
-            f"shadow(_sv{i}, {name!r})" for i, name in enumerate(shadowed)
-        )
-        params = ", ".join(cells)
         getter = ", ".join(f"{cell}.get()" for cell in cells)
         return (
-            f"CoExpression((lambda {values}: (lambda {params}: {body_code})"
-            f"({rebinds})), (lambda: ({getter},)))"
+            f"CoExpression((lambda {values}: {body_code}), "
+            f"(lambda: ({getter},)))"
         )
 
     # primaries

@@ -9,10 +9,13 @@ invocations.  Concurrent invocations are safe: a body is only in the cache
 while *no* invocation is using it, so two overlapping calls simply build
 two bodies.
 
-The free stacks are :class:`collections.deque` instances — their append
-and pop are atomic under CPython, so the per-call fast path takes no lock
-(method calls are the hottest operation in translated code, and pipes call
-methods from many threads).
+Each free stack is a dict keyed by the parked body's identity: its
+insertion order is the stack order, ``popitem`` pops the most recent body,
+and a store, a pop and a membership test are each one atomic operation
+under CPython.  So the per-call fast path takes no lock and never walks
+the stack (method calls are the hottest operation in translated code, and
+pipes call methods from many threads), and a body released twice is
+still parked once, since its key is its identity.
 
 The cache can be disabled globally (``enabled=False``) — the ablation bench
 A3 measures exactly this switch.
@@ -20,7 +23,6 @@ A3 measures exactly this switch.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict
 
 
@@ -37,18 +39,18 @@ class MethodBodyCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        self._free: Dict[str, deque] = {}
+        self._free: Dict[str, Dict[int, Any]] = {}
 
     def get_free(self, key: str) -> Any | None:
         """Pop a free body for *key*, or None (caller then builds one)."""
         if not (self.enabled and MethodBodyCache.enabled_globally):
             self.misses += 1
             return None
-        stack = self._free.get(key)
-        if stack:
+        free = self._free.get(key)
+        if free:
             try:
-                body = stack.pop()  # atomic under CPython
-            except IndexError:
+                body = free.popitem()[1]  # atomic under CPython
+            except KeyError:  # another thread took the last one
                 self.misses += 1
                 return None
             self.hits += 1
@@ -57,19 +59,23 @@ class MethodBodyCache:
         return None
 
     def release(self, key: str, body: Any) -> None:
-        """Return a finished body to the free stack (drop when full).
+        """Return a finished body to the free stack; past
+        ``max_per_method`` the oldest parked body is dropped.
 
-        Double-release of the same body is tolerated: duplicates in the
-        stack would alias reified parameter cells, so they are filtered.
+        Double-release of the same body is tolerated: it keeps its one
+        entry, so no two invocations ever share its reified cells.
         """
         if not (self.enabled and MethodBodyCache.enabled_globally):
             return
-        stack = self._free.get(key)
-        if stack is None:
-            stack = self._free.setdefault(key, deque(maxlen=self.max_per_method))
-        if any(parked is body for parked in stack):
-            return
-        stack.append(body)
+        free = self._free.get(key)
+        if free is None:
+            free = self._free.setdefault(key, {})
+        free[id(body)] = body
+        if len(free) > self.max_per_method:
+            try:
+                del free[next(iter(free))]
+            except (KeyError, RuntimeError, StopIteration):
+                pass  # another thread emptied or resized the stack first
 
     def clear(self) -> None:
         self._free.clear()

@@ -161,61 +161,84 @@ class IconInvoke(IconIterator):
             yield result
 
 
-class IconOptimizedBody(IconIterator):
+class _CachedBody(IconIterator):
+    """What both procedure-body wrappers share: the unpack closure that
+    rebinds the reified parameters, and the :class:`MethodBodyCache` slot
+    a finished body parks in."""
+
+    __slots__ = ("_unpack", "_cache", "_cache_key")
+
+    def __init__(self, unpack: Callable[..., Any] | None = None) -> None:
+        super().__init__()
+        self._unpack = unpack
+        self._cache: MethodBodyCache | None = None
+        self._cache_key: str = ""
+
+    # Fluent API mirroring the paper's generated code.
+
+    def set_unpack_closure(self, unpack: Callable[..., Any]) -> "_CachedBody":
+        self._unpack = unpack
+        return self
+
+    def unpack_args(self, *args: Any) -> "_CachedBody":
+        if self._unpack is not None:
+            self._unpack(*args)
+        return self
+
+    def set_cache(self, cache: MethodBodyCache, key: str) -> "_CachedBody":
+        self._cache = cache
+        self._cache_key = key
+        return self
+
+    # Aliases so emitted code can read like the paper's Figure 5.
+    setUnpackClosure = set_unpack_closure
+    unpackArgs = unpack_args
+    setCache = set_cache
+
+
+class IconOptimizedBody(_CachedBody):
     """The root wrapper of an *optimized* (natively lowered) procedure body.
 
     The optimizing compile target (:mod:`repro.lang.optimize`) emits the
     procedure body as one straight Python generator function — results are
     yielded directly instead of travelling in :class:`Suspension`
     envelopes, so :class:`IconMethodBody`'s discard-ordinary-results rule
-    does not apply.  What remains shared with the interpreted wrapper is
-    the outer contract: ``return``/``fail`` signals raised by embedded
-    fallback subtrees convert to a final result / failure, and finished
-    bodies recycle through the same :class:`MethodBodyCache`.
+    does not apply.  A ``return`` lowered in that function's own frame
+    yields its value and returns; what remains shared with the
+    interpreted wrapper is the outer contract: ``return``/``fail`` signals
+    raised by helpers and embedded fallback subtrees convert to a final
+    result / failure, and finished bodies recycle through the same
+    :class:`MethodBodyCache`.
+
+    Every result :meth:`iterate` yields is already dereferenced, so
+    :func:`~repro.lang.environment.call_results` hands it to lowered call
+    sites as it is.
     """
 
-    __slots__ = ("_fn", "_unpack", "_cache", "_cache_key")
+    __slots__ = ("_fn",)
 
     def __init__(self, fn: Callable[[], Iterator[Any]], unpack: Callable[..., Any] | None = None) -> None:
-        super().__init__()
+        super().__init__(unpack)
         self._fn = fn
-        self._unpack = unpack
-        self._cache: MethodBodyCache | None = None
-        self._cache_key: str = ""
-
-    def set_unpack_closure(self, unpack: Callable[..., Any]) -> "IconOptimizedBody":
-        self._unpack = unpack
-        return self
-
-    def unpack_args(self, *args: Any) -> "IconOptimizedBody":
-        if self._unpack is not None:
-            self._unpack(*args)
-        return self
-
-    def set_cache(self, cache: MethodBodyCache, key: str) -> "IconOptimizedBody":
-        self._cache = cache
-        self._cache_key = key
-        return self
 
     def iterate(self) -> Iterator[Any]:
         try:
             yield from self._fn()
         except ReturnSignal as signal:
             if signal.value is not FAIL:
-                yield signal.value
+                yield deref(signal.value)
         except FailSignal:
             pass
         finally:
             if self._cache is not None:
                 self._cache.release(self._cache_key, self)
 
-    # Aliases matching IconMethodBody's fluent spelling.
-    setUnpackClosure = set_unpack_closure
-    unpackArgs = unpack_args
-    setCache = set_cache
+    def __iter__(self) -> Iterator[Any]:
+        # The host-facing pass needs no unwrap/deref layer: see iterate.
+        return self.iterate()
 
 
-class IconMethodBody(IconIterator):
+class IconMethodBody(_CachedBody):
     """The root wrapper of a translated procedure body.
 
     Drives the body statements, unwrapping :class:`Suspension` envelopes
@@ -224,30 +247,11 @@ class IconMethodBody(IconIterator):
     Falling off the end of a procedure **fails** (no results), per Icon.
     """
 
-    __slots__ = ("body", "_unpack", "_cache", "_cache_key")
+    __slots__ = ("body",)
 
     def __init__(self, body: Any, unpack: Callable[..., Any] | None = None) -> None:
-        super().__init__()
+        super().__init__(unpack)
         self.body = as_iterator(body)
-        self._unpack = unpack
-        self._cache: MethodBodyCache | None = None
-        self._cache_key: str = ""
-
-    # Fluent API mirroring the paper's generated code.
-
-    def set_unpack_closure(self, unpack: Callable[..., Any]) -> "IconMethodBody":
-        self._unpack = unpack
-        return self
-
-    def unpack_args(self, *args: Any) -> "IconMethodBody":
-        if self._unpack is not None:
-            self._unpack(*args)
-        return self
-
-    def set_cache(self, cache: MethodBodyCache, key: str) -> "IconMethodBody":
-        self._cache = cache
-        self._cache_key = key
-        return self
 
     def iterate(self) -> Iterator[Any]:
         try:
@@ -264,8 +268,3 @@ class IconMethodBody(IconIterator):
         finally:
             if self._cache is not None:
                 self._cache.release(self._cache_key, self)
-
-    # Aliases so emitted code can read like the paper's Figure 5.
-    setUnpackClosure = set_unpack_closure
-    unpackArgs = unpack_args
-    setCache = set_cache

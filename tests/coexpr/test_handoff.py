@@ -15,6 +15,9 @@ on each take.  These tests pin what that must not cost:
   stream exactly;
 * **lock-step** — a capacity-k producer never runs more than k results
   ahead of its consumer;
+* **one notify per sleep** — a consumer already notified is not notified
+  again before it runs, and a taker that timed out can be notified
+  again;
 * **validation** — ``Pipe`` rejects, on every backend, the tuning values
   the generator server would reject, and so do ``AsyncPipe``,
   ``RemotePipe`` and ``DataParallel`` for the fields they take.
@@ -39,7 +42,8 @@ from repro.coexpr.channel import CLOSED, Channel
 from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.pipe import Pipe
-from repro.errors import ChannelClosedError, PipeDeadlineExceeded
+from repro.coexpr import channel as channel_module
+from repro.errors import ChannelClosedError, PipeDeadlineExceeded, PipeTimeoutError
 from repro.net.client import RemotePipe
 from repro.runtime.failure import FAIL
 
@@ -179,6 +183,110 @@ class TestNoLostWakeup:
             for p in range(len(producer_scripts)):
                 seqs = [seq for q, seq in bucket if q == p]
                 assert seqs == sorted(seqs), f"producer {p} reordered"
+
+
+class CountingCondition(threading.Condition):
+    """Counts the notifies sent and the waits begun on a condition."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.notifies = 0
+        self.waits = 0
+
+    def notify(self, n=1):  # notify_all calls this once, too
+        self.notifies += 1
+        super().notify(n)
+
+    def wait(self, timeout=None):
+        self.waits += 1
+        return super().wait(timeout)
+
+
+class TestOneNotifyPerSleep:
+    def test_stream_notifies_at_most_once_per_consumer_sleep(self, monkeypatch):
+        conditions = []
+        init = Channel.__init__
+
+        def counting_init(channel, capacity=0):
+            init(channel, capacity)
+            channel._not_empty = CountingCondition(channel._lock)
+            conditions.append(channel._not_empty)
+
+        monkeypatch.setattr(channel_module.Channel, "__init__", counting_init)
+        pipe = Pipe(counted(960))
+        assert list(pipe.iterate()) == list(range(960))
+        (condition,) = conditions
+        # Each sleep of the consumer may cost one notify, and the close
+        # one more; a notify per item would be ~960.
+        assert condition.notifies <= condition.waits + 1, (
+            condition.notifies,
+            condition.waits,
+        )
+
+    def test_taker_that_timed_out_is_notified_again(self):
+        channel = Channel()
+        with pytest.raises(PipeTimeoutError):
+            channel.take(timeout=0.01)
+        got = []
+        taker = threading.Thread(target=lambda: got.append(channel.take()), daemon=True)
+        taker.start()
+        limit = time.monotonic() + BOUND
+        while channel._takers == 0 and time.monotonic() < limit:
+            time.sleep(0.001)
+        channel.put("x")
+        _join_all([taker], "taker after a timed-out take")
+        assert got == ["x"]
+
+    def test_no_sleeper_stranded_behind_timed_out_takers(self):
+        """A polling taker times out over and over beside a blocking one;
+        once the poller has gone, every item must still reach the
+        blocking taker, one at a time, with no close to wake it."""
+        channel = Channel()
+        taken = []
+        done = threading.Condition()
+
+        def record(item):
+            with done:
+                taken.append(item)
+                done.notify_all()
+
+        def poll(until):
+            while time.monotonic() < until:
+                try:
+                    item = channel.take(timeout=0.0005)
+                except PipeTimeoutError:
+                    continue
+                if item is CLOSED:
+                    return
+                record(item)
+
+        def block():
+            while True:
+                item = channel.take()
+                if item is CLOSED:
+                    return
+                record(item)
+
+        poller = threading.Thread(target=poll, args=(time.monotonic() + 0.3,), daemon=True)
+        blocker = threading.Thread(target=block, daemon=True)
+        poller.start()
+        blocker.start()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for i in range(400):
+                if i == 200:
+                    _join_all([poller], "poller")
+                channel.put(i)
+                with done:
+                    assert done.wait_for(lambda: len(taken) > i, BOUND), (
+                        f"item {i} stranded with a taker asleep"
+                    )
+        finally:
+            sys.setswitchinterval(switch)
+            channel.close()
+        _join_all([poller, blocker], "takers")
+        assert sorted(taken) == list(range(400))
 
 
 class TestDrainedPipe:

@@ -456,6 +456,101 @@ CORPUS = [
         """,
         "gen()",
     ),
+    (
+        "return-inside-every",
+        """
+        def root(n) { local i; every i := 1 to 10 do { if i * i > n then return i; }; }
+        def gen() { suspend root(10) | root(50) | root(1000) | root(0); }
+        """,
+        "gen()",
+    ),
+    (
+        "return-inside-while",
+        """
+        def down(n) {
+            while n > 0 do { if n % 7 == 0 then return n; n := n - 1; };
+            return "none";
+        }
+        def gen() { suspend down(20) | down(6) | down(15); }
+        """,
+        "gen()",
+    ),
+    (
+        "return-of-failure-ends-the-call",
+        """
+        def stop(n) { return n < 0; suspend 99; }
+        def bare() { return; suspend 99; }
+        def gen() { suspend stop(1) | stop(-5) | (/bare() & "null") | 7; }
+        """,
+        "gen()",
+    ),
+    (
+        "return-inside-a-helper",
+        """
+        def f(n) { suspend { if n > 5 then return n * 10; n } \\ 1; suspend 0; }
+        def gen() { suspend f(7) | f(3); }
+        """,
+        "gen()",
+    ),
+    (
+        "first-class-step-past-end-and-restart",
+        """
+        def gen() {
+            local c;
+            c = <> (1 to 3);
+            suspend @c | @c;
+            ^c;
+            suspend @c | @c | @c | @c | "end" | @c | ! c;
+        }
+        """,
+        "gen()",
+    ),
+    (
+        "coexpression-snapshot-and-transmit",
+        """
+        def gen() {
+            local x, c;
+            x = 1;
+            c = |<> (x + (1 to 3));
+            x = 100;
+            suspend @c | (5 @ c) | x | @c | "done" | *c | @(^c);
+        }
+        """,
+        "gen()",
+    ),
+    (
+        "pipe-size-after-drain",
+        "def gen() { local p; p = |> (1 to 5); every !p; suspend *p | type(p); }",
+        "gen()",
+    ),
+    (
+        "native-append",
+        """
+        def gen() {
+            local tasks, t;
+            tasks = [];
+            every t = 1 to 4 do tasks::append(t * t);
+            suspend ! tasks | tasks::index(9);
+        }
+        """,
+        "gen()",
+    ),
+    (
+        "pipes-from-one-site",
+        """
+        def add(a, b) { return a + b; }
+        def gen() {
+            local c, t, tasks;
+            tasks = [];
+            every c = [1, 2, 3] | [10, 20] do {
+                t = |> { local x; x = 0; every x = add(x, !c); x };
+                tasks::append(t);
+            };
+            suspend ! (! tasks);
+        }
+        """,
+        "gen()",
+    ),
 ]
 
 

@@ -67,8 +67,9 @@ def _expressions(extra_atoms=()):
     return st.recursive(base, _extend, max_leaves=6)
 
 
-#: Three program templates: a bare suspend, an every-loop over a bound
-#: variable the expression may reference, and a while-loop counter.
+#: Four program templates: a bare suspend, an every-loop over a bound
+#: variable the expression may reference, a while-loop counter, and the
+#: calculus (``|<>``, ``@``, ``!``, ``<>``, ``^``, ``|>``) around it.
 _programs = st.one_of(
     _expressions().map(lambda e: f"def gen() {{ suspend {e}; }}"),
     _expressions(extra_atoms=("i",)).map(
@@ -77,6 +78,12 @@ _programs = st.one_of(
     _expressions(extra_atoms=("i",)).map(
         lambda e: "def gen() { local i; i = 0; "
         f"while (i := i + 1) <= 3 do suspend {e}; }}"
+    ),
+    # The concurrency calculus over a snapshot: |<> and |> copy i = 2,
+    # <> reads the live i = 5.
+    _expressions(extra_atoms=("i",)).map(
+        lambda e: f"def gen() {{ local i, c; i = 2; c = |<> {e}; i = 5; "
+        f"suspend @c | ! c | ! <> {e} | @(^c) | ! |> {e}; }}"
     ),
 )
 

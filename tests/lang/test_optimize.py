@@ -73,6 +73,34 @@ GOLDEN_PROGRAMS = [
         True,
     ),
     (
+        "pipe_factory",
+        """
+        def sums() {
+            local c, t, tasks;
+            tasks = [];
+            every c = [1, 2, 3] | [10, 20] do {
+                t = |> { local x; x = 0; every x +:= !c; x };
+                tasks::append(t);
+            };
+            suspend ! (! tasks);
+        }
+        """,
+        True,
+    ),
+    (
+        "first_class_activate",
+        """
+        def steps(n) {
+            local c;
+            c = <> (1 to n);
+            while @c < n do { if @c == n then return "even"; };
+            ^c;
+            return @c;
+        }
+        """,
+        True,
+    ),
+    (
         "whole_method_fallback",
         """
         def counter() {
@@ -122,7 +150,7 @@ def test_fallback_golden_embeds_interpreted_tree():
     """The scan golden must actually contain an embedded interpreted
     subtree (the `_eN = IconScan(...)` hoist) — that is what 'defers
     cleanly' means, and what keeps the golden honest as coverage grows."""
-    _, text = _lower(GOLDEN_PROGRAMS[5][1])
+    _, text = _lower(dict((e[0], e[1]) for e in GOLDEN_PROGRAMS)["fallback_scan"])
     assert "IconScan" in text
     assert ".iterate()" in text
 
@@ -136,6 +164,7 @@ def test_golden_programs_still_run():
         "conjunction_filter": ("keep()", [3, 6, 9, 12]),
         "limited_alternation": ("pick()", [1, "two"]),
         "fallback_scan": (None, None),
+        "pipe_factory": ("sums()", [6, 30]),
     }
     for name, source, expect_lowered in GOLDEN_PROGRAMS:
         if name not in expectations:
@@ -200,6 +229,34 @@ def test_compile_events_and_stats():
     assert stats["fast"]["fallbacks"] == []
     assert stats["scanning"]["optimized"] == 1
     assert "Scan" in str(stats["scanning"]["fallbacks"])
+
+
+def test_figure6_program_has_no_fallback_shapes():
+    """The paper's own program (Figures 3-4) lowers whole: the calculus
+    shapes it uses (``::``, ``|>``, ``@``, ``<>``) are all native."""
+    from repro.bench.embedded import JUNICON_PROGRAM
+    from repro.monitor.tracer import Tracer
+
+    tracer = Tracer()
+    with tracer.lifecycle():
+        transform_program(JUNICON_PROGRAM, optimize=True)
+    stats = tracer.compile_stats()
+    assert {name for name, s in stats.items() if s["optimized"] != 1} == set()
+    assert {name: s["fallbacks"] for name, s in stats.items() if s["fallbacks"]} == {}
+    for shape in ("native-invoke", "pipe", "activate", "first-class"):
+        assert any(shape in s["lowered"] for s in stats.values()), shape
+
+
+def test_returns_in_the_body_frame_yield():
+    """A ``return`` in the procedure's own generator frame yields its
+    value and returns; one inside a helper still raises the signal."""
+    _, text = _lower(
+        "def f(n) { if n > 0 then return n; return (n | 1) \\ 1 & 2; }"
+    )
+    assert "ReturnSignal" not in text
+    _, text = _lower("def f(n) { suspend { if n > 5 then return n; n } \\ 1; }")
+    assert "raise ReturnSignal(" in text
+    assert "IconReturn" not in text
 
 
 def test_compile_event_records_whole_method_fallback():
