@@ -7,20 +7,26 @@ maps the same activate/suspend protocol onto asyncio coroutines instead
 higher-order coroutines — so thousands of concurrent pipes cost one OS
 thread (the shared event loop) instead of thousands.
 
-Three layers:
+Three layers, over one producer:
 
 * :class:`AsyncChannel` — the :class:`~repro.coexpr.channel.Channel`
   contract for coroutines: awaitable ``put``/``take`` with close
   semantics, error envelopes, deadline-correct timeouts, and the same
   data-before-error ordering guarantees;
-* :class:`AsyncPipe` — an async-native generator proxy (``async for``
-  take) for code that already lives inside an event loop;
-* :func:`start_async_worker` — the hook :meth:`Pipe.start` calls for
-  ``backend="async"``: the pipe keeps its ordinary threaded surface
-  (blocking ``take``, the public ``out`` channel) but its producer runs
-  as a coroutine on the shared background loop, multiplexed with every
-  other async worker.  Backpressure is cooperative: a bounded channel
-  parks the coroutine on a poll-sleep, never the loop.
+* :class:`AsyncWorker` — the one producer coroutine: it activates the
+  body to exhaustion under the pipe's rules (the deadline before every
+  activation, the shared batching rule, data before the error, close,
+  upstream cancellation) and hands each result or slice to a sink;
+* its two consumers.  :class:`AsyncPipe` (``async for`` take, for code
+  already inside an event loop) runs it on the caller's loop with
+  ``AsyncChannel.put_many`` as the sink and takes by
+  :class:`~repro.coexpr.pipe.Pipe`'s rules.  :func:`start_async_worker`
+  is the hook :meth:`Pipe.start` calls for ``backend="async"``: the pipe
+  keeps its ordinary threaded surface (blocking ``take``, the public
+  ``out`` channel) while the worker runs on the shared background loop,
+  multiplexed with every other async worker.  Its sink polls
+  cooperatively: a bounded channel parks the coroutine on a
+  poll-sleep, never the loop.
 
 **Refresh is a snapshot.**  ``^c`` on an async pipe follows Prokopec &
 Liu's coroutines-with-snapshots model: the refreshed copy restarts from
@@ -33,7 +39,7 @@ exactly as it replays a threaded one.
 activation runs to completion on the loop before anything else does;
 the tier multiplexes *between* results, not inside them.  A worker
 yields to the loop after every activation (``await asyncio.sleep(0)``),
-so fairness is per-item.  Both producers batch through the shared rule
+so fairness is per-item.  It batches through the shared rule
 (:class:`~repro.coexpr.coalesce.Coalescer`).  Because activations are
 atomic on the loop, a ``max_linger`` bound needs no separate flusher
 thread here: the age check after each activation is this tier's linger
@@ -48,17 +54,17 @@ import asyncio
 import threading
 import time
 from collections import deque
-from typing import Any, AsyncIterator, List
+from typing import Any, AsyncIterator, Awaitable, Callable, List
 
-from ..errors import ChannelClosedError, PipeTimeoutError
-from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
+from ..errors import ChannelClosedError, PipeDeadlineExceeded, PipeTimeoutError
+from ..monitor.events import EventKind, lifecycle_enabled
 from ..runtime.failure import FAIL
 from .channel import CLOSED, RaiseEnvelope, deadline_of, remaining
 from .coalesce import Coalescer
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline
 from .options import PipeOptions
-from .pipe import Pipe
+from .pipe import _DRAIN_ALL, _UNSET, Pipe
 from .scheduler import WorkerHandle
 
 #: How long a backpressured async worker sleeps before re-checking a
@@ -258,10 +264,7 @@ class AsyncChannel:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __aiter__(self) -> AsyncIterator[Any]:
-        return self._drain()
-
-    async def _drain(self) -> AsyncIterator[Any]:
+    async def __aiter__(self) -> AsyncIterator[Any]:
         while True:
             item = await self.take()
             if item is CLOSED:
@@ -279,16 +282,18 @@ class AsyncChannel:
 class AsyncPipe:
     """An async-native generator proxy: ``async for`` over a body.
 
-    For code that already lives inside an event loop.  The producer
-    coroutine activates the co-expression to exhaustion, streaming every
-    result through an :class:`AsyncChannel` with the channel contract
-    the threaded pipe pins: production order, data before error, close
-    terminates.  The worker task starts lazily on the first take (the
-    paper's proxy spawns from ``next()``) or eagerly via :meth:`start`.
+    For code that already lives inside an event loop.  The producer is
+    :class:`AsyncWorker`'s coroutine, a task on the caller's running
+    loop (outside scheduler accounting); the consumer side is
+    :class:`~repro.coexpr.pipe.Pipe`'s own code — lifecycle events, the
+    deadline and timeout errors, upstream cancellation, the batching
+    counters — and :meth:`take` follows :meth:`Pipe.take`'s rules.  The
+    task starts on the first take (the paper's proxy spawns from
+    ``next()``) or via :meth:`start`.
 
     ``refresh()`` is snapshot-and-restart (Prokopec & Liu): a sibling
     pipe over a fresh copy of the co-expression's creation environment,
-    sharing the same deadline budget — a refresh is not a reset.
+    with the same options — and so the same deadline budget.
     """
 
     def __init__(
@@ -298,18 +303,24 @@ class AsyncPipe:
         batch: int = 1,
         take_timeout: float | None = None,
         deadline: Any = None,
+        *,
+        options: PipeOptions | None = None,
     ) -> None:
-        # Pipe's rules for the knobs this pipe takes.
-        options = PipeOptions(
-            capacity=capacity, take_timeout=take_timeout, batch=batch, deadline=deadline
-        )
-        self._coalescer = Coalescer(batch)
+        # Pipe's rules for the knobs; a caller holding checked options
+        # (refresh) passes them instead.
+        if options is None:
+            options = PipeOptions(
+                capacity=capacity, take_timeout=take_timeout, batch=batch, deadline=deadline
+            )
+        elif (capacity, batch, take_timeout, deadline) != (0, 1, None, None):
+            raise TypeError("pass options= or the knob keywords, not both")
         self.coexpr: CoExpression = coexpr_of(expr)
-        self.capacity = capacity
+        self.options = options
+        self.capacity = options.capacity
         #: The output queue — public, as in the paper.
-        self.out = AsyncChannel(capacity)
-        self.batch = batch
-        self.take_timeout = take_timeout
+        self.out = AsyncChannel(options.capacity)
+        self.batch = options.batch
+        self.take_timeout = options.take_timeout
         #: End-to-end budget (shared across refreshes and pipelines).
         self.deadline: Deadline | None = options.deadline
         self.upstream: Any = None
@@ -317,115 +328,57 @@ class AsyncPipe:
         self._cancelled = False
         self._errored = False
         self._pending: deque = deque()
+        self._flushes = 0
+        self._batched_items = 0
+        self._coalescer = Coalescer(options.batch, options.max_linger)
 
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.coexpr.name}", 0, value))
+    # Pipe's consumer rules and counters, the same code.
+    _emit = Pipe._emit
+    _deadline_error = Pipe._deadline_error
+    _timed_out = Pipe._timed_out
+    _cancel_upstream = Pipe._cancel_upstream
+    _queued = Pipe._queued
+    batch_stats = Pipe.batch_stats
 
     def start(self) -> "AsyncPipe":
         """Spawn the producer task on the running loop (idempotent)."""
         if self._task is None and not self._cancelled:
-            self._task = asyncio.get_running_loop().create_task(
-                self._produce(), name=f"apipe-{self.coexpr.name}"
-            )
+            self._task = AsyncWorker(self).start(asyncio.get_running_loop())
             self._emit(EventKind.START)
             self._emit(EventKind.ASYNC_SESSION, {"transport": "loop"})
         return self
 
-    async def _produce(self) -> None:
-        out = self.out
-        coexpr = self.coexpr
+    async def take(self, timeout: Any = _UNSET) -> Any:
+        """The next result or :data:`FAIL` once exhausted — each step in
+        :meth:`Pipe.take`'s order, with the channel waits awaited."""
         deadline = self.deadline
-        batch = self.batch
-        coalescer = self._coalescer
-        try:
-            while not self._cancelled:
-                if deadline is not None and deadline.expired():
-                    self._emit(
-                        EventKind.DEADLINE_EXPIRED,
-                        {"where": "producer", "remaining": 0.0},
-                    )
-                    from ..errors import PipeDeadlineExceeded
-
-                    raise PipeDeadlineExceeded(
-                        f"pipe {coexpr.name!r}: deadline exceeded (producer)",
-                        where="producer",
-                    )
-                value = coexpr.activate()
-                if value is FAIL:
-                    break
-                if batch == 1:
-                    await out.put(value)
-                elif coalescer.append(value, time.monotonic()):
-                    await out.put_many(coalescer.drain())
-                await asyncio.sleep(0)  # per-item fairness across tasks
-            if coalescer:
-                await out.put_many(coalescer.drain())  # flush-on-exhaustion
-        except ChannelClosedError:
-            pass  # the consumer cancelled the pipe; just exit
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            self._errored = True
-            try:
-                if coalescer:
-                    await out.put_many(coalescer.drain())  # data before the error
-                out.put_error(error)
-            except ChannelClosedError:
-                pass
-        finally:
-            out.close()
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
-
-    _cancel_upstream = Pipe._cancel_upstream
-
-    async def take(self, timeout: Any = None) -> Any:
-        """The next result or :data:`FAIL` once exhausted."""
+        if deadline is not None and deadline.expired():
+            error = self._deadline_error("take")
+            self.cancel()
+            raise error
         if self._pending:
             return self._pending.popleft()
-        if timeout is None:
+        if timeout is _UNSET:
             timeout = self.take_timeout
-        deadline = self.deadline
         if deadline is not None:
-            if deadline.expired():
-                self._emit(
-                    EventKind.DEADLINE_EXPIRED,
-                    {"where": "take", "remaining": 0.0},
-                )
-                from ..errors import PipeDeadlineExceeded
-
-                self.cancel()
-                raise PipeDeadlineExceeded(
-                    f"pipe {self.coexpr.name!r}: deadline exceeded (take)",
-                    where="take",
-                )
             timeout = deadline.bound(timeout)
-        self.start()
+        many = self.batch > 1 or not self.capacity
         try:
-            if self.batch > 1:
-                item = await self.out.take_many(self.batch, timeout)
+            self.start()
+            if many:
+                item = await self.out.take_many(
+                    self.batch if self.batch > 1 else _DRAIN_ALL, timeout
+                )
             else:
                 item = await self.out.take(timeout)
-        except PipeTimeoutError:
-            if deadline is not None and deadline.expired():
-                # A deadline-bounded wait that timed out IS the expiry:
-                # active teardown, the deadline error, not a plain timeout.
-                from ..errors import PipeDeadlineExceeded
-
-                self._emit(
-                    EventKind.DEADLINE_EXPIRED,
-                    {"where": "take", "remaining": 0.0},
-                )
-                self.cancel()
-                raise PipeDeadlineExceeded(
-                    f"pipe {self.coexpr.name!r}: deadline exceeded (take)",
-                    where="take",
-                ) from None
+        except PipeDeadlineExceeded:
+            self.cancel()
             raise
+        except PipeTimeoutError:
+            raise self._timed_out(timeout) from None
         if item is CLOSED:
             return FAIL
-        if self.batch > 1:
+        if many:
             if len(item) > 1:
                 self._pending.extend(item[1:])
             return item[0]
@@ -444,25 +397,13 @@ class AsyncPipe:
             self._cancel_upstream()
         return self._task is None or self._task.done()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
+    cancelled = Pipe.cancelled
 
     def refresh(self) -> "AsyncPipe":
-        """``^p`` — snapshot-and-restart: a new pipe over a refreshed
-        copy of the co-expression (same deadline budget)."""
-        return AsyncPipe(
-            self.coexpr.refresh(),
-            capacity=self.capacity,
-            batch=self.batch,
-            take_timeout=self.take_timeout,
-            deadline=self.deadline,
-        )
+        """``^p`` — a new pipe over a refreshed copy of the co-expression."""
+        return AsyncPipe(self.coexpr.refresh(), options=self.options)
 
-    def __aiter__(self) -> AsyncIterator[Any]:
-        return self._iterate()
-
-    async def _iterate(self) -> AsyncIterator[Any]:
+    async def __aiter__(self) -> AsyncIterator[Any]:
         self.start()
         while True:
             item = await self.take()
@@ -476,48 +417,59 @@ class AsyncPipe:
             if self._cancelled
             else ("running" if self._task is not None else "unstarted")
         )
-        return f"AsyncPipe({self.coexpr.name}, {state}, queued={len(self.out)})"
+        return f"AsyncPipe({self.coexpr.name}, {state}, queued={self._queued()})"
 
 
 # ---------------------------------------------------------------------------
-# backend="async": the coroutine worker behind an ordinary Pipe.
+# The one producer coroutine, behind AsyncPipe and backend="async".
 # ---------------------------------------------------------------------------
 
 
 class AsyncWorker:
-    """One pipe body running as a task on the shared background loop.
+    """One pipe body running as a coroutine (see the module docstring).
 
-    The owner pipe keeps its threaded surface — the consumer blocks in
-    ``Channel.take`` exactly as with the thread backend — while the
-    producer coroutine multiplexes with every other async worker on one
-    OS thread.  Registers with the scheduler's session accounting
-    (``leaked()``/``shutdown()`` cover the pending task the way they
-    cover sockets), and exposes the worker/session protocol:
-    ``handle``/``join``/``is_alive``/``name``, ``kill`` (cancel the
-    task now) and ``terminate`` (the :meth:`Pipe.cancel` hook).
+    With a *scheduler* (``backend="async"``) it is tracked as a session,
+    so ``leaked()``/``shutdown()`` cover the pending task the way they
+    cover sockets, and speaks the worker/session protocol:
+    ``handle``/``join``/``is_alive``/``name``, ``kill`` (cancel the task
+    now) and ``terminate`` (the :meth:`Pipe.cancel` hook).
     """
 
     __slots__ = ("pipe", "scheduler", "name", "handle", "_future")
 
-    def __init__(self, pipe: Any, scheduler: Any) -> None:
+    def __init__(self, pipe: Any, scheduler: Any = None) -> None:
         self.pipe = pipe
         self.scheduler = scheduler
         self.name = f"apipe-{pipe.coexpr.name}"
         self.handle = WorkerHandle()
         self._future: Any = None
 
-    def start(self) -> None:
-        loop = event_loop()
-        self._future = asyncio.run_coroutine_threadsafe(self._produce(), loop)
-        self._future.add_done_callback(lambda _f: self.handle._mark_done())
+    def start(self, loop: asyncio.AbstractEventLoop | None = None) -> Any:
+        """Schedule :meth:`_produce` and return its future.  Without
+        *loop*: on the shared loop, delivering into the pipe's threading
+        channel by :meth:`_deliver`.  With the caller's running *loop*:
+        as a task there, awaiting the :class:`AsyncChannel`'s
+        ``put_many``."""
+        if loop is None:
+            future = asyncio.run_coroutine_threadsafe(
+                self._produce(self._deliver), event_loop()
+            )
+        else:
+            future = loop.create_task(
+                self._produce(self.pipe.out.put_many), name=self.name
+            )
+        future.add_done_callback(lambda _f: self.handle._mark_done())
+        self._future = future
+        return future
 
     # -- the producer coroutine ----------------------------------------------
 
-    async def _deliver(self, out: Any, items: List[Any]) -> None:
+    async def _deliver(self, items: List[Any]) -> None:
         """Move *items* into the pipe's (threading) channel without ever
         blocking the loop: this worker is the channel's only producer,
         so free space observed under the lock cannot shrink before the
         zero-timeout put lands."""
+        out = self.pipe.out
         sent = 0
         while sent < len(items):
             if out.capacity:
@@ -533,12 +485,12 @@ class AsyncWorker:
             out.put_many(chunk, timeout=0)
             sent += len(chunk)
 
-    async def _flush(self) -> None:
+    async def _flush(self, deliver: Callable[[List[Any]], Awaitable[Any]]) -> None:
         """Deliver the coalesced batch and keep the pipe's batching
         counters/events identical to the thread tier's."""
         pipe = self.pipe
         items = pipe._coalescer.drain()
-        await self._deliver(pipe.out, items)
+        await deliver(items)
         pipe._flushes += 1
         pipe._batched_items += len(items)
         if lifecycle_enabled():
@@ -547,7 +499,9 @@ class AsyncWorker:
                 {"size": len(items), "queued": pipe._queued()},
             )
 
-    async def _produce(self) -> None:
+    async def _produce(self, deliver: Callable[[List[Any]], Awaitable[Any]]) -> None:
+        """Activate the body to exhaustion, handing each result (or
+        coalesced slice) to the sink *deliver*."""
         pipe = self.pipe
         out = pipe.out
         coexpr = pipe.coexpr
@@ -562,26 +516,24 @@ class AsyncWorker:
                 if value is FAIL:
                     break
                 if batch == 1:
-                    await self._deliver(out, [value])
+                    await deliver([value])
                 else:
                     now = time.monotonic()
                     # Activations are atomic on the loop, so this
                     # post-activation age check is the linger flusher
                     # (see the module docstring's cooperative caveat).
                     if coalescer.append(value, now) or coalescer.due_in(now) == 0:
-                        await self._flush()
+                        await self._flush(deliver)
                 await asyncio.sleep(0)  # per-item fairness across workers
             if coalescer:  # flush-on-exhaustion: no result is stranded
-                await self._flush()
+                await self._flush(deliver)
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
-        except asyncio.CancelledError:
-            pass  # killed (scheduler shutdown / pipe cancel): just exit
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
             pipe._errored = True
             try:
                 if coalescer:
-                    await self._flush()  # data before the error
+                    await self._flush(deliver)  # data before the error
                 out.put_error(error)  # unthrottled: never blocks
             except ChannelClosedError:
                 pass  # cancelled while reporting: consumer is gone
@@ -589,7 +541,8 @@ class AsyncWorker:
             out.close()
             if pipe._cancelled or pipe._errored:
                 pipe._cancel_upstream()
-            self.scheduler.untrack_session(self)
+            if self.scheduler is not None:
+                self.scheduler.untrack_session(self)
 
     # -- teardown --------------------------------------------------------------
 
@@ -606,9 +559,7 @@ class AsyncWorker:
 
     # -- worker/session protocol (scheduler accounting) ------------------------
 
-    def kill(self) -> None:
-        """Scheduler-shutdown hook: cancel the pending task now."""
-        self.terminate()
+    kill = terminate  # the scheduler-shutdown hook: cancel the task now
 
     def join(self, timeout: float | None = None) -> bool:
         return self.handle.join(timeout)
@@ -620,21 +571,13 @@ class AsyncWorker:
 def async_unsafe_reason(pipe: Any) -> str | None:
     """Why *pipe*'s body cannot run on the shared loop (None = it can).
 
-    The async tier's half of the degradation rules, the cooperative
-    analogue of :func:`repro.coexpr.proc.body_portability_reason`: the
-    loop runs one activation at a time, so a body that performs a
-    *blocking* take inside its activation freezes every other coroutine
-    on the loop.  If the channel it blocks on is itself fed by a task on
-    that loop — a stage consuming an upstream async pipe — the producer
-    can never run and the pipeline deadlocks outright; if the feeder is
-    a thread, the loop is merely starved for the stream's whole
-    lifetime, which breaks the "thousands of pipes share one loop"
-    contract just as surely.  Either way the stage cannot live on the
-    loop: it degrades to the thread backend with a ``DEGRADED`` monitor
-    event, exactly as a channel-fed stage refuses the process boundary.
-
-    Pure sources — bodies whose environment holds only plain values —
-    run on the loop; that is the tier's sweet spot.
+    The cooperative analogue of
+    :func:`repro.coexpr.proc.body_portability_reason`: a body whose
+    activation performs a *blocking* take freezes every coroutine on the
+    loop — and deadlocks outright when a task on that loop feeds it — so
+    a stage fed by an in-process pipe, or a body whose environment holds
+    a blocking value, degrades to the thread backend.  Pure sources run
+    on the loop; that is the tier's sweet spot.
     """
     from .channel import Channel
     from .future import Future, MVar

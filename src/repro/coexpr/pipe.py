@@ -219,6 +219,18 @@ class Pipe(IconIterator):
             where=where,
         )
 
+    def _timed_out(self, timeout: float | None) -> PipeTimeoutError:
+        """The error for a take whose wait ran out: the deadline's when
+        that bounded the wait (the pipe cancels itself), else the
+        pipe's own timeout (a ``TIMEOUT`` event)."""
+        deadline = self.deadline
+        if deadline is not None and deadline.expired():
+            error = self._deadline_error("take")
+            self.cancel()
+            return error
+        self._emit(EventKind.TIMEOUT, timeout)
+        return PipeTimeoutError(f"pipe {self.coexpr.name!r}: no result within {timeout}s")
+
     # -- worker --------------------------------------------------------------
 
     def start(self) -> "Pipe":
@@ -446,14 +458,7 @@ class Pipe(IconIterator):
             self.cancel()
             raise
         except PipeTimeoutError:
-            if deadline is not None and deadline.expired():
-                error = self._deadline_error("take")
-                self.cancel()
-                raise error from None
-            self._emit(EventKind.TIMEOUT, timeout)
-            raise PipeTimeoutError(
-                f"pipe {self.coexpr.name!r}: no result within {timeout}s"
-            ) from None
+            raise self._timed_out(timeout) from None
         if item is CLOSED:
             return FAIL
         if many:

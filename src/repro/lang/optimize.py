@@ -642,18 +642,6 @@ class GeneratorLowering:
                 with self.block(w):
                     w.emit("break")
             return
-        if op == "^":
-            # Refresh the first result, then iterate what refresh returns
-            # as an invocation result (IconInvokeIterator's rule).
-            self.lowered.append("refresh")
-            v = self.bounded(w, node.operand)
-            w.emit(f"if {v} is not FAIL:")
-            with self.block(w):
-                r = self.fresh("_r")
-                w.emit(f"for {r} in call_results(_jrefresh, {v}):")
-                with self.block(w):
-                    k(w, r)
-            return
         if op in UNARY_FN:
             fn = UNARY_FN[op]
             self.lowered.append("operation")

@@ -63,6 +63,7 @@ UNARY_FN = {
     "*": "iops.size",
     "~": "iops.complement",
     "?": "iops.random_of",
+    "^": "_jrefresh",  # ^c: the refreshed value itself, one result
 }
 
 
@@ -281,11 +282,6 @@ class ExpressionCompiler:
             return f"IconInvokeIterator(lambda: tab_match({operand}.first()))"
         if node.op == "|":
             return f"IconRepeatAlt({operand})"
-        if node.op == "^":
-            # ^c — refresh a co-expression / restart an iterator.
-            return (
-                f"IconInvokeIterator(lambda: _jrefresh({operand}.first()))"
-            )
         fn = UNARY_FN.get(node.op)
         if fn is None:
             raise TransformError(f"unknown unary operator {node.op!r}", node.line)

@@ -25,12 +25,13 @@ the server's credit plus the data in flight never exceed one window,
 and a slow consumer throttles the remote producer the same way it
 throttles a local worker blocked on a full channel.  Grants are
 coalesced: the pump owes the server the delivered count and pays it
-once half the effective window is owed.  The request asks the server
-for its ``max_credit`` quota *Q*, which it answers with ``WIRE_QUOTA``
-before the stream; the effective window is then ``min(window, Q)``, so
-the grant count is set by the stream, the window and the quota, not by
-which side is faster.  A peer that has not told its quota is paid for
-every slice, since its clamp is unknown.
+once half the effective window is owed — or the whole window, when
+that is 3 or less and half would be a grant per item.  The request
+asks the server for its ``max_credit`` quota *Q*, which it answers with
+``WIRE_QUOTA`` before the stream; the effective window is then
+``min(window, Q)``, so the grant count is set by the stream, the window
+and the quota, not by which side is faster.  A peer that has not told
+its quota is paid for every slice, since its clamp is unknown.
 
 Degradation mirrors :mod:`repro.coexpr.proc`: a body that cannot leave
 the process (:func:`~repro.coexpr.proc.body_portability_reason`), a
@@ -333,11 +334,13 @@ class RemoteWorker(StreamPump):
         # paid once `_threshold` are owed.  Until the server has told
         # its quota a clamp it cannot see could leave both sides
         # waiting, so every delivery is paid at once; WIRE_QUOTA then
-        # sets the threshold to half the effective window E =
-        # min(window, quota).  After the first grant is clamped to E,
-        # the server's credit, the data in flight and the owed count sum
-        # to E, so a pump that blocks owing less than max(1, E // 2)
-        # leaves the server credit or data on the way.
+        # sets the threshold from the effective window E =
+        # min(window, quota): E itself when E <= 3 (half of it would be
+        # a grant per item), else E // 2.  After the first grant is
+        # clamped to E, the server's credit, the data in flight and the
+        # owed count sum to E, so a pump that blocks owing less than
+        # the threshold (never more than E) leaves the server credit or
+        # data on the way.
         self._owed = 0
         self._threshold = 1
         #: The server's ``WIRE_BUSY`` hint once it shed this session.
@@ -415,7 +418,7 @@ class RemoteWorker(StreamPump):
             window = self.window
             if window is not None:
                 effective = window if quota is None else min(window, quota)
-                self._threshold = max(1, effective // 2)
+                self._threshold = effective if effective <= 3 else effective // 2
         elif kind == WIRE_BUSY:
             # The server shed us: a retryable loss that feeds the
             # breaker its retry_after hint.
@@ -724,20 +727,14 @@ class RemotePipe(Pipe):
         return _dial(self, scheduler, request, lambda a: f"{name}@{a[0]}:{a[1]}")
 
     def refresh(self) -> "RemotePipe":
-        """A sibling proxy: a fresh connection replaying the factory."""
-        options = self.options
-        return RemotePipe(
-            self.address,
-            self.factory_name,
-            args=self.args,
-            capacity=self.capacity,
-            scheduler=self._scheduler,
-            take_timeout=self.take_timeout,
-            batch=options.batch,
-            heartbeat_interval=options.heartbeat_interval,
-            heartbeat_timeout=options.heartbeat_timeout,
-            deadline=self.deadline,  # the same budget: a refresh is not a reset
-        )
+        """A sibling proxy: a fresh connection replaying the factory,
+        with the same options — the same budget (a refresh is not a
+        reset) and the same server pool, not checked again."""
+        sibling = RemotePipe.__new__(RemotePipe)
+        Pipe.__init__(sibling, self.coexpr.refresh(), scheduler=self._scheduler, options=self.options)
+        sibling.factory_name = self.factory_name
+        sibling.args = self.args
+        return sibling
 
     def icon_type(self) -> str:
         return "remote-pipe"

@@ -11,6 +11,7 @@ pending tasks the way it covers threads and sockets).
 from __future__ import annotations
 
 import asyncio
+import inspect
 import time
 
 import pytest
@@ -211,6 +212,15 @@ class TestAsyncPipe:
 
         assert run(body()) == [0, 1, 2, 3, 4]
 
+    def test_refresh_reuses_the_options(self):
+        piped = AsyncPipe(lambda: counter(5), capacity=3, batch=2, deadline=30.0)
+        sibling = piped.refresh()
+        assert sibling.options is piped.options  # not rebuilt, not re-checked
+        assert sibling.deadline is piped.deadline  # a refresh is not a reset
+        assert (sibling.capacity, sibling.batch) == (3, 2)
+        with pytest.raises(TypeError, match="not both"):
+            AsyncPipe(lambda: counter(5), capacity=3, options=piped.options)
+
     def test_deadline_expiry_raises_and_cancels(self):
         def slow():
             while True:
@@ -372,3 +382,114 @@ class TestAsyncBackend:
         refreshed = piped.refresh()
         piped.cancel(join=True, timeout=5.0)
         assert list(refreshed.iterate()) == [0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# One parity table: the same bodies through the three pipe consumers.
+# ---------------------------------------------------------------------------
+
+CONSUMERS = {
+    "thread": lambda body, **knobs: Pipe(body, backend="thread", **knobs),
+    "async": lambda body, **knobs: Pipe(body, backend="async", **knobs),
+    "AsyncPipe": AsyncPipe,
+}
+
+
+async def settle(step):
+    """A step's value: AsyncPipe's are awaited, Pipe's are not."""
+    return await step if inspect.isawaitable(step) else step
+
+
+async def drain(piped):
+    """Every result, then the name of the error that ended the stream."""
+    got = []
+    while True:
+        try:
+            item = await settle(piped.take())
+        except Exception as error:  # noqa: BLE001 - the outcome under test
+            return got + [type(error).__name__]
+        if item is FAIL:
+            return got
+        got.append(item)
+
+
+async def values_and_exhaustion(make):
+    piped = make(lambda: counter(6))
+    return await drain(piped), await settle(piped.take())
+
+
+async def error_after_data(make):
+    return await drain(make(crashing))
+
+
+async def batches_unbatch(make):
+    piped = make(lambda: counter(10), batch=4, capacity=8)
+    return await drain(piped), piped.batch_stats
+
+
+async def cancel_reaches_upstream(make):
+    class Upstream:
+        cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    piped = make(lambda: counter(10**6), capacity=2)
+    piped.upstream = upstream = Upstream()
+    first = await settle(piped.take())
+    piped.cancel()
+    return first, piped.cancelled, upstream.cancelled
+
+
+async def producer_deadline(make):
+    # The producer checks the budget before each activation: the data
+    # it made goes out first, then its own expiry, where="producer".
+    def late():
+        yield 1
+        time.sleep(0.15)
+        yield 2
+        yield 3
+
+    piped = make(late, deadline=0.05).start()
+    got = []
+    while True:
+        try:
+            item = await settle(piped.out.take())
+        except PipeDeadlineExceeded as error:
+            return got + [error.where]
+        if item is CLOSED:
+            return got
+        got.append(item)
+
+
+async def deadline_while_buffered(make):
+    # The budget is checked before the buffered slice is served.
+    piped = make(lambda: counter(10), batch=5, deadline=0.1)
+    first = await settle(piped.take())
+    await asyncio.sleep(0.2)
+    try:
+        await settle(piped.take())
+    except PipeDeadlineExceeded as error:
+        return first, error.where, piped.cancelled
+    return first, None, piped.cancelled
+
+
+PARITY = [
+    (values_and_exhaustion, ([0, 1, 2, 3, 4, 5], FAIL)),
+    (error_after_data, [1, 2, "ValueError"]),
+    (
+        batches_unbatch,
+        (list(range(10)), {"flushes": 3, "items": 10, "mean_batch": 10 / 3}),
+    ),
+    (cancel_reaches_upstream, (0, True, True)),
+    (producer_deadline, [1, 2, "producer"]),
+    (deadline_while_buffered, (0, "take", True)),
+]
+
+
+@pytest.mark.parametrize("consumer", list(CONSUMERS))
+@pytest.mark.parametrize(
+    "case, expected", PARITY, ids=[case.__name__ for case, _ in PARITY]
+)
+def test_consumers_agree(case, expected, consumer):
+    assert run(case(CONSUMERS[consumer])) == expected

@@ -180,6 +180,12 @@ class TestRefresh:
         assert fresh.capacity == 7
         assert list(fresh) == [0, 1]
 
+    def test_refresh_reuses_the_options(self):
+        pipe = Pipe(counted(2), capacity=7, deadline=30.0)
+        fresh = pipe.refresh()
+        assert fresh.options is pipe.options  # not rebuilt, not re-checked
+        assert fresh.deadline is pipe.deadline  # a refresh is not a reset
+
 
 class TestRuntimeIntegration:
     def test_out_channel_is_public(self):

@@ -602,6 +602,25 @@ def test_engines_agree(name, decls, expr):
     assert reference, f"{name}: corpus entry produced no results on any engine"
 
 
+@pytest.mark.parametrize("literal", ["<> (1 to 3)", "|<> (1 to 3)", "|> (1 to 3)"])
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_refresh_is_a_restarted_generator(engine, literal):
+    # Expected values, not only agreement: ``^c`` is the refreshed
+    # generator itself — the same type as ``c``, and promoting it
+    # starts over — never the first result of one (once every engine
+    # bound ``d`` to an integer for a ``<>e`` or ``|>e`` value).
+    decls = f"""
+        def f() {{
+            local c, d;
+            c := {literal};
+            @c;
+            d := ^c;
+            suspend (type(d) ~== "integer" & type(d) == type(c) & "same") | !d;
+        }}
+    """
+    assert ENGINES[engine](decls, "f()") == ["same", 1, 2, 3]
+
+
 def test_corpus_is_reasonably_sized():
     # The pin only bites if the corpus keeps covering the dialect.
     assert len(CORPUS) >= 40

@@ -200,11 +200,13 @@ class TestCreditCoalescing:
                 assert list(piped.iterate()) == list(range(960))
         assert len(credit_sends) <= 3 * 64
 
-    @pytest.mark.parametrize("quota", [None, 4])
+    @pytest.mark.parametrize("quota", [None, 4, 3, 2])
     @pytest.mark.parametrize("server_cls", SERVERS, ids=SERVER_IDS)
     def test_grants_follow_the_quota_exactly(self, server_cls, quota, credit_sends):
         # The same stream against a known quota: the initial window,
-        # then one grant per max(1, min(window, quota) // 2) items.
+        # then one grant per min(window, quota) // 2 items — or per
+        # quota items at a quota of 3 or less, where half the window
+        # would be a grant per item.
         with server_cls(max_credit=quota) as server:
             piped = source_pipe(
                 range(960),
@@ -216,7 +218,7 @@ class TestCreditCoalescing:
             assert list(piped.iterate()) == list(range(960))
         # Without a quota the last 448 owed items are never paid: the
         # stream closes first.
-        paid = 512 if quota is None else quota // 2
+        paid = {None: 512, 4: 2, 3: 3, 2: 2}[quota]
         grants = [(WIRE_CREDIT, 1024)] + [(WIRE_CREDIT, paid)] * (960 // paid)
         assert credit_sends == grants
 

@@ -27,7 +27,7 @@ from repro.coexpr.supervision import (
 )
 from repro.errors import PipeConnectionLost, RetryExhaustedError
 from repro.monitor import EventKind, Tracer
-from repro.net import AsyncGeneratorServer, GeneratorServer, RemotePipe
+from repro.net import AsyncGeneratorServer, GeneratorServer, RemotePipe, ServerPool
 from repro.net.client import remote_unsafe_reason
 
 
@@ -498,6 +498,18 @@ class TestRemotePipeIsAPipe:
         piped = stage(increment, upstream, backend="async", take_timeout=3).start()
         assert "starve the loop" in piped.degraded
         assert list(piped.iterate()) == [x + 1 for x in range(20)]
+
+    def test_refresh_reuses_the_options(self, server):
+        server.register("count", count_to)
+        piped = RemotePipe([server.address], "count", args=(5,), capacity=3, deadline=30.0)
+        sibling = piped.refresh()
+        assert type(sibling) is RemotePipe and sibling is not piped
+        assert sibling.options is piped.options  # not rebuilt, not re-checked
+        assert sibling.deadline is piped.deadline  # a refresh is not a reset
+        assert isinstance(sibling.address, ServerPool)
+        assert sibling.address is piped.address  # the same routing memory
+        assert (sibling.factory_name, sibling.args) == ("count", (5,))
+        assert list(sibling.iterate()) == [0, 1, 2, 3, 4]
 
     def test_supervised_stage_cancels_remote_upstream_when_it_gives_up(self, server):
         server.register("count", count_to)
