@@ -264,7 +264,10 @@ class AsyncChannel:
     def __len__(self) -> int:
         return len(self._items)
 
-    async def __aiter__(self) -> AsyncIterator[Any]:
+    def __aiter__(self) -> AsyncIterator[Any]:
+        return self._drain()
+
+    async def _drain(self) -> AsyncIterator[Any]:
         while True:
             item = await self.take()
             if item is CLOSED:
@@ -303,18 +306,15 @@ class AsyncPipe:
         batch: int = 1,
         take_timeout: float | None = None,
         deadline: Any = None,
-        *,
-        options: PipeOptions | None = None,
     ) -> None:
-        # Pipe's rules for the knobs; a caller holding checked options
-        # (refresh) passes them instead.
-        if options is None:
-            options = PipeOptions(
-                capacity=capacity, take_timeout=take_timeout, batch=batch, deadline=deadline
-            )
-        elif (capacity, batch, take_timeout, deadline) != (0, 1, None, None):
-            raise TypeError("pass options= or the knob keywords, not both")
-        self.coexpr: CoExpression = coexpr_of(expr)
+        # Pipe's rules for the knobs this pipe takes.
+        options = PipeOptions(
+            capacity=capacity, take_timeout=take_timeout, batch=batch, deadline=deadline
+        )
+        self._setup(coexpr_of(expr), options)
+
+    def _setup(self, coexpr: CoExpression, options: PipeOptions) -> None:
+        self.coexpr = coexpr
         self.options = options
         self.capacity = options.capacity
         #: The output queue — public, as in the paper.
@@ -330,7 +330,7 @@ class AsyncPipe:
         self._pending: deque = deque()
         self._flushes = 0
         self._batched_items = 0
-        self._coalescer = Coalescer(options.batch, options.max_linger)
+        self._coalescer = Coalescer(options.batch)
 
     # Pipe's consumer rules and counters, the same code.
     _emit = Pipe._emit
@@ -400,10 +400,16 @@ class AsyncPipe:
     cancelled = Pipe.cancelled
 
     def refresh(self) -> "AsyncPipe":
-        """``^p`` — a new pipe over a refreshed copy of the co-expression."""
-        return AsyncPipe(self.coexpr.refresh(), options=self.options)
+        """``^p`` — a new pipe over a refreshed copy of the co-expression,
+        with the same options (not checked again)."""
+        sibling = AsyncPipe.__new__(AsyncPipe)
+        sibling._setup(self.coexpr.refresh(), self.options)
+        return sibling
 
-    async def __aiter__(self) -> AsyncIterator[Any]:
+    def __aiter__(self) -> AsyncIterator[Any]:
+        return self._iterate()
+
+    async def _iterate(self) -> AsyncIterator[Any]:
         self.start()
         while True:
             item = await self.take()
@@ -559,7 +565,9 @@ class AsyncWorker:
 
     # -- worker/session protocol (scheduler accounting) ------------------------
 
-    kill = terminate  # the scheduler-shutdown hook: cancel the task now
+    def kill(self) -> None:
+        """Scheduler-shutdown hook: cancel the pending task now."""
+        self.terminate()
 
     def join(self, timeout: float | None = None) -> bool:
         return self.handle.join(timeout)
@@ -571,13 +579,21 @@ class AsyncWorker:
 def async_unsafe_reason(pipe: Any) -> str | None:
     """Why *pipe*'s body cannot run on the shared loop (None = it can).
 
-    The cooperative analogue of
-    :func:`repro.coexpr.proc.body_portability_reason`: a body whose
-    activation performs a *blocking* take freezes every coroutine on the
-    loop — and deadlocks outright when a task on that loop feeds it — so
-    a stage fed by an in-process pipe, or a body whose environment holds
-    a blocking value, degrades to the thread backend.  Pure sources run
-    on the loop; that is the tier's sweet spot.
+    The async tier's half of the degradation rules, the cooperative
+    analogue of :func:`repro.coexpr.proc.body_portability_reason`: the
+    loop runs one activation at a time, so a body that performs a
+    *blocking* take inside its activation freezes every other coroutine
+    on the loop.  If the channel it blocks on is itself fed by a task on
+    that loop — a stage consuming an upstream async pipe — the producer
+    can never run and the pipeline deadlocks outright; if the feeder is
+    a thread, the loop is merely starved for the stream's whole
+    lifetime, which breaks the "thousands of pipes share one loop"
+    contract just as surely.  Either way the stage cannot live on the
+    loop: it degrades to the thread backend with a ``DEGRADED`` monitor
+    event, exactly as a channel-fed stage refuses the process boundary.
+
+    Pure sources — bodies whose environment holds only plain values —
+    run on the loop; that is the tier's sweet spot.
     """
     from .channel import Channel
     from .future import Future, MVar

@@ -218,8 +218,11 @@ class TestAsyncPipe:
         assert sibling.options is piped.options  # not rebuilt, not re-checked
         assert sibling.deadline is piped.deadline  # a refresh is not a reset
         assert (sibling.capacity, sibling.batch) == (3, 2)
-        with pytest.raises(TypeError, match="not both"):
-            AsyncPipe(lambda: counter(5), capacity=3, options=piped.options)
+
+        async def body():
+            return [v async for v in sibling]
+
+        assert run(body()) == [0, 1, 2, 3, 4]
 
     def test_deadline_expiry_raises_and_cancels(self):
         def slow():

@@ -602,23 +602,29 @@ def test_engines_agree(name, decls, expr):
     assert reference, f"{name}: corpus entry produced no results on any engine"
 
 
-@pytest.mark.parametrize("literal", ["<> (1 to 3)", "|<> (1 to 3)", "|> (1 to 3)"])
+@pytest.mark.parametrize(
+    "literal, identity",
+    [("<> (1 to 3)", "alias"), ("|<> (1 to 3)", "copy"), ("|> (1 to 3)", "copy")],
+)
 @pytest.mark.parametrize("engine", list(ENGINES))
-def test_refresh_is_a_restarted_generator(engine, literal):
+def test_refresh_is_a_restarted_generator(engine, literal, identity):
     # Expected values, not only agreement: ``^c`` is the refreshed
     # generator itself — the same type as ``c``, and promoting it
     # starts over — never the first result of one (once every engine
-    # bound ``d`` to an integer for a ``<>e`` or ``|>e`` value).
+    # bound ``d`` to an integer for a ``<>e`` or ``|>e`` value).  A
+    # ``<>e`` value has no snapshot, so it is restarted in place and
+    # ``d`` is ``c``; a co-expression or pipe gives a new object.
     decls = f"""
         def f() {{
             local c, d;
             c := {literal};
             @c;
             d := ^c;
-            suspend (type(d) ~== "integer" & type(d) == type(c) & "same") | !d;
+            suspend (type(d) ~== "integer" & type(d) == type(c) & "same") |
+                (d === c & "alias") | (d ~=== c & "copy") | !d;
         }}
     """
-    assert ENGINES[engine](decls, "f()") == ["same", 1, 2, 3]
+    assert ENGINES[engine](decls, "f()") == ["same", identity, 1, 2, 3]
 
 
 def test_corpus_is_reasonably_sized():
