@@ -6,30 +6,31 @@ takes the whole interpreter down, and CPU-bound stages serialize on the
 GIL.  This module adds a second execution tier, selected with
 ``backend="process"`` on :class:`~repro.coexpr.pipe.Pipe` (and threaded
 through ``stage``/``pipeline``/``DataParallel``/``supervise``): the
-worker body runs in a ``multiprocessing`` child that speaks the existing
-envelope protocol — batched data slices, error, close (the
-``WIRE_*`` vocabulary of :mod:`repro.coexpr.wire`) — over an IPC
-connection.  A parent-side **pump thread** — the
-:class:`~repro.coexpr.pump.StreamPump` the network tier runs too —
+worker body runs in a ``multiprocessing`` child that serves **one
+session** of the generator server (:class:`~repro.net.server.Session`)
+over one end of a ``socket.socketpair()``.  The body reaches the child
+in memory — inherited through the fork, or pickled by ``multiprocessing``
+under spawn — registered as the session's one factory; it never crosses
+the wire.  The parent drives the other end with the client half every
+socket tier shares, the :class:`~repro.coexpr.pump.StreamPump`, which
 forwards envelopes into the pipe's ordinary
 :class:`~repro.coexpr.channel.Channel`, so consumers, batching,
-supervision, and monitoring all work unchanged.
+supervision, and monitoring all work unchanged.  The child therefore
+speaks the whole session protocol: credit flow control for bounded
+pipes, cancel as a cancel envelope, the deadline budget, and the
+session's checks on malformed envelopes.
 
 Three behaviours distinguish the tier:
 
-* **Heartbeat watchdog.**  A daemon thread in the child emits a beat
-  every ``heartbeat_interval`` seconds; the pump doubles as the monitor.
-  The beat thread is also the batching rule's linger flusher
-  (:class:`~repro.coexpr.coalesce.Coalescer`): it wakes at the next beat
-  or when a partial batch can come due, whichever is sooner, and never
-  more often than once per millisecond.
-  Missed beats past ``heartbeat_timeout``, an EOF on the connection,
-  child death (exit-code sentinel) without a close envelope, or an
-  envelope kind the pump does not know surface a
-  :class:`~repro.errors.PipeWorkerLost` error to the consumer instead
-  of a hang or a silently truncated stream.  Buffered data already in
-  the OS pipe is drained *before* the loss is reported —
-  data-before-error, as in-process.
+* **Heartbeat watchdog.**  The session's reader thread beats every
+  ``heartbeat_interval`` seconds and doubles as the batching rule's
+  linger flusher, as on a server; the pump doubles as the monitor.
+  Missed beats past ``heartbeat_timeout``, an EOF or reset on the
+  socket, child death without a close envelope, or an envelope kind
+  the pump does not know surface a :class:`~repro.errors.PipeWorkerLost`
+  error (carrying the exit code) to the consumer instead of a hang or
+  a silently truncated stream.  Data already in the socket is drained
+  *before* the loss is reported — data-before-error, as in-process.
 * **Worker-lost is retryable.**  Under
   :func:`~repro.coexpr.supervision.supervise` a lost worker consumes a
   retry like any producer crash: the process is respawned and the stream
@@ -48,24 +49,23 @@ Child processes are registered with the owning
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import pickle
-import threading
-import time
+import socket
 from typing import Any, Callable
 
-from ..errors import PipeDeadlineExceeded, PipeWorkerLost
+from ..errors import PipeWorkerLost
 from ..monitor.events import EventKind, lifecycle_enabled
-from .coalesce import Coalescer
-from .deadline import Deadline
-from .options import POLL_SLICE
 from .pump import StreamLost, StreamPump
-from .wire import WIRE_BEAT, WIRE_CLOSE, WIRE_DATA, WIRE_ERROR, encode_error
 
 #: Exit code used by fault injection (``FaultPlan.kill_stage``) so tests
 #: can tell a deliberate chaos kill from an accidental one.
 KILLED_EXIT = 173
 
+#: Grace a child whose socket the parent closed gets to exit on its own
+#: (its session sees the hang-up) before it is sent SIGTERM.
+_EXIT_GRACE = 0.25
 #: Grace given to a terminated child before escalating to SIGKILL —
 #: SIGTERM cannot reap a SIGSTOP-ed (hung) child, SIGKILL always can.
 _TERMINATE_GRACE = 1.0
@@ -150,169 +150,64 @@ def spawn_unsafe_reason(pipe: Any, ctx: multiprocessing.context.BaseContext) -> 
     return None
 
 
-# ---------------------------------------------------------------------------
-# Child side.  Everything below _child_main runs in the worker process —
-# excluded from parent-side coverage accounting.
-# ---------------------------------------------------------------------------
-
 def _child_main(
-    conn: Any,
+    sock: Any,
     factory: Callable[..., Any],
     env: tuple,
     name: str,
-    batch: int,
-    max_linger: float | None,
-    heartbeat_interval: float,
-    deadline_budget: float | None = None,
+    beat_interval: float,
 ) -> None:  # pragma: no cover - runs in the child process
-    """Run the worker body and stream wire envelopes to the parent.
+    """Serve one session of the body over *sock*, then exit 0.
 
-    The thread tier's batching rule (:class:`~repro.coexpr.coalesce.
-    Coalescer`): values coalesce into slices of up to *batch*, a crash
-    flushes buffered data before the error envelope, and exhaustion
-    flushes then closes.  A daemon thread beats every
-    *heartbeat_interval* seconds and doubles as the linger flusher: it
-    wakes at the next beat or when a partial batch can come due,
-    whichever is sooner, and never more often than once per
-    :data:`~repro.coexpr.coalesce._MIN_TICK`.  A clean run (including a
-    *reported* crash) ends with a close envelope and exit code 0 — only
-    a death that skips the close is a lost worker.
-
-    *deadline_budget* is the parent pipe's remaining budget in seconds
-    (monotonic clocks do not cross a fork — see
-    :mod:`repro.coexpr.deadline`), re-anchored here against the child's
-    own clock.  Expiry is a reported crash: flush, error envelope
-    (:class:`~repro.errors.PipeDeadlineExceeded`), close, exit 0.
+    The session runs on a fresh scheduler, so its reader thread starts
+    only after the fork, and under an unstarted server that refuses
+    spawn requests and whose one factory, registered under the pipe's
+    name, is the body in memory.  The parent's lifecycle sinks are
+    dropped: they cannot hear the child, and one may hold a lock the
+    fork copied.
     """
-    from ..runtime.failure import FAIL
-    from .coexpression import CoExpression
+    from ..monitor import events
+    from ..net.server import GeneratorServer, Session
+    from .scheduler import PipeScheduler
 
-    send_lock = threading.Lock()
-    coalescer = Coalescer(batch, max_linger)
-    stop = threading.Event()
+    events._lifecycle_sinks.clear()
+    server = GeneratorServer(
+        scheduler=PipeScheduler(),
+        heartbeat_interval=beat_interval,
+        allow_spawn=False,
+        name=f"repro-proc-{name}",
+    )
+    server.register(name, functools.partial(factory, *env))
+    session = Session(server, sock, None)
+    session.run()
+    session.join()
 
-    def send(msg: tuple) -> None:
-        with send_lock:
-            conn.send(msg)
-
-    def ship() -> None:
-        # Caller holds send_lock; sends whatever is coalesced.
-        if coalescer:
-            conn.send((WIRE_DATA, coalescer.drain()))
-
-    def beat() -> None:
-        beat_at = time.monotonic() + heartbeat_interval
-        while True:
-            try:
-                with send_lock:
-                    now = time.monotonic()
-                    if coalescer.due_in(now) == 0:
-                        ship()
-                    if now >= beat_at:
-                        conn.send((WIRE_BEAT, now))
-                        beat_at = now + heartbeat_interval
-                    wait = coalescer.sleep_for(now, beat_at)
-            except (OSError, ValueError, BrokenPipeError):
-                return  # parent is gone; nothing left to report to
-            if stop.wait(wait):
-                return
-
-    threading.Thread(target=beat, daemon=True, name="repro-proc-beat").start()
-    coexpr = CoExpression(factory, lambda: env, name=name)
-    deadline = None if deadline_budget is None else Deadline(deadline_budget)
-    try:
-        try:
-            while True:
-                if deadline is not None and deadline.expired():
-                    raise PipeDeadlineExceeded(
-                        f"pipe {name!r}: deadline exceeded (producer)",
-                        where="producer",
-                    )
-                value = coexpr.activate()
-                if value is FAIL:
-                    break
-                with send_lock:
-                    if coalescer.append(value, time.monotonic()):
-                        ship()
-            with send_lock:
-                ship()  # flush-on-exhaustion: no result is stranded
-        except BaseException as error:  # noqa: BLE001 - forwarded to the parent
-            try:
-                with send_lock:
-                    ship()  # data first, then the error
-            except Exception:  # noqa: BLE001 - e.g. the value itself won't pickle
-                pass
-            try:
-                send((WIRE_ERROR, encode_error(error)))
-            except Exception:  # noqa: BLE001 - parent already gone
-                pass
-        try:
-            send((WIRE_CLOSE,))
-        except Exception:  # noqa: BLE001 - parent already gone
-            pass
-    finally:
-        stop.set()
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Parent side.
-# ---------------------------------------------------------------------------
 
 class ProcessWorker(StreamPump):
     """One child process plus the pump thread that drains it.
 
-    Created by :func:`start_process_worker`; owns the IPC connection and
-    the ``multiprocessing.Process``.  The pump, the watchdog and the
-    loss report are :class:`~repro.coexpr.pump.StreamPump`'s; a lost
-    child surfaces as :class:`~repro.errors.PipeWorkerLost`.
+    Created by :func:`start_process_worker`; owns the parent's socket
+    end and the ``multiprocessing.Process``.  The pump, the session's
+    client half and the loss report are
+    :class:`~repro.coexpr.pump.StreamPump`'s; a lost child surfaces as
+    :class:`~repro.errors.PipeWorkerLost` with its exit code.
     """
 
-    __slots__ = ("process", "conn")
+    __slots__ = ("process",)
 
     LOST_EVENT = EventKind.WORKER_LOST
+    TRANSPORT = "process"
 
-    def __init__(self, pipe: Any, scheduler: Any, ctx: Any) -> None:
-        coexpr = pipe.coexpr
-        super().__init__(pipe, scheduler, coexpr.name)
-        options = pipe.options
-        self.conn, child_conn = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
-            target=_child_main,
-            args=(
-                child_conn,
-                coexpr._factory,
-                coexpr._env,
-                coexpr.name,
-                options.batch,
-                options.max_linger,
-                options.beat_interval,
-                None if pipe.deadline is None else pipe.deadline.remaining(),
-            ),
-            name=f"repro-proc-{coexpr.name}",
-            daemon=True,
-        )
+    def __init__(self, pipe: Any, scheduler: Any, sock: Any, process: Any) -> None:
+        super().__init__(pipe, scheduler, pipe.coexpr.name, sock)
+        self.process = process
 
-    # -- the transport half of the pump ----------------------------------------
-
-    def _endpoints(self) -> tuple:
-        return self._receive, self.pipe.out.put_many
-
-    def _receive(self) -> tuple:
-        conn = self.conn
-        if conn.poll(POLL_SLICE):
-            return conn.recv()
-        if self.process.is_alive():
-            raise TimeoutError
-        # The child may have exited cleanly with envelopes still
-        # buffered in the OS pipe: drain them (a close included) before
-        # judging the death.
-        if conn.poll(0):
-            return conn.recv()
-        raise StreamLost(f"child died, exit code {self.process.exitcode}")
+    def _idle(self) -> None:
+        # A sibling forked while the child's end was still open holds a
+        # copy of it, and then the child's death brings no EOF.  Nothing
+        # arrived for a slice, so nothing it sent is left unread.
+        if not self.process.is_alive():
+            raise StreamLost(f"child died, exit code {self.process.exitcode}")
 
     def _loss(self, reason: str) -> tuple:
         # An EOF can race the child's actual exit: give it a beat so the
@@ -326,58 +221,80 @@ class ProcessWorker(StreamPump):
         return error, {"reason": reason, "exitcode": exitcode}
 
     def _release(self) -> None:
-        """Ensure the child is dead and unregistered (SIGTERM → SIGKILL)."""
-        process = self.process
-        if process.is_alive():
-            process.terminate()
-            process.join(_TERMINATE_GRACE)
-        if process.is_alive():
-            # SIGTERM cannot reap a stopped/hung child; SIGKILL always does.
-            process.kill()
-            process.join(_TERMINATE_GRACE)
+        """Hang up, then reap the child: it exits on its own, or after
+        SIGTERM, or after SIGKILL (which a stopped child needs)."""
         try:
-            self.conn.close()
+            # Shut down, not just closed: a sibling's copy of this end
+            # must not keep the child waiting for the hang-up.
+            self.framer.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # already closed by terminate()
+        super()._release()
+        process = self.process
+        process.join(_EXIT_GRACE)
+        for stop in (process.terminate, process.kill):
+            if not process.is_alive():
+                break
+            stop()
+            process.join(_TERMINATE_GRACE)
         self.scheduler.untrack_process(process)
-
-    def terminate(self) -> None:
-        """Ask the child to die (idempotent; the pump reaps it)."""
-        if self.process.is_alive():
-            self.process.terminate()
 
 
 def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | str:
     """Spawn *pipe*'s body in a child process.
 
-    Returns a running :class:`ProcessWorker` (child started, pump
-    submitted, process tracked by *scheduler*) — or the reason the body
-    cannot run in a child, and :meth:`Pipe.start` degrades to the thread
-    backend.  Scheduler shutdown is **not** degradation: a submit racing
-    shutdown propagates :class:`~repro.errors.SchedulerShutdownError`,
-    exactly as the thread backend does.
+    Returns a running :class:`ProcessWorker` (child started, session
+    requested, pump submitted, process tracked by *scheduler*) — or the
+    reason the body cannot run in a child, and :meth:`Pipe.start`
+    degrades to the thread backend.  Scheduler shutdown is **not**
+    degradation: a submit racing shutdown propagates
+    :class:`~repro.errors.SchedulerShutdownError`, exactly as the thread
+    backend does.
+
+    The server module is imported here, once in the parent, so a forked
+    child inherits it instead of importing it.
     """
+    from ..net import server  # noqa: F401 - see above
+
     ctx = pipe.options.mp_context or default_context()
     reason = spawn_unsafe_reason(pipe, ctx)
     if reason is not None:
         return reason
-    worker = ProcessWorker(pipe, scheduler, ctx)
-    scheduler.track_process(worker.process)  # raises after shutdown
+    coexpr = pipe.coexpr
+    sock, child_sock = socket.socketpair()
+    with child_sock:  # the parent's copy closes once the child has its own
+        worker = ProcessWorker(
+            pipe,
+            scheduler,
+            sock,
+            ctx.Process(
+                target=_child_main,
+                args=(
+                    child_sock,
+                    coexpr._factory,
+                    coexpr._env,
+                    coexpr.name,
+                    pipe.options.beat_interval,
+                ),
+                name=f"repro-proc-{coexpr.name}",
+                daemon=True,
+            ),
+        )
+        try:
+            scheduler.track_process(worker.process)  # raises after shutdown
+            worker.handshake(coexpr.name)  # waiting in the socket at fork
+            worker.process.start()
+        except BaseException as error:
+            worker.framer.close()
+            scheduler.untrack_process(worker.process)
+            if isinstance(error, OSError):
+                return f"process spawn failed: {error!r}"
+            raise
+    if lifecycle_enabled():
+        pipe._emit(EventKind.SPAWN, {"pid": worker.process.pid})
     try:
-        worker.process.start()
-    except OSError as error:
-        scheduler.untrack_process(worker.process)
-        return f"process spawn failed: {error!r}"
-    try:
-        worker.handle = scheduler.submit(worker.pump, name=f"pump-{pipe.coexpr.name}")
+        worker.handle = scheduler.submit(worker.pump, name=f"pump-{coexpr.name}")
     except BaseException:
         worker._release()
         raise
-    if lifecycle_enabled():
-        pipe._emit(EventKind.SPAWN, {"pid": worker.process.pid})
-        if pipe.deadline is not None:
-            pipe._emit(
-                EventKind.DEADLINE_PROPAGATED,
-                {"remaining": pipe.deadline.remaining(), "transport": "process"},
-            )
     return worker

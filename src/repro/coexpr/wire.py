@@ -2,9 +2,9 @@
 
 In-process, channel traffic is method calls (``put_many`` / ``put_error``
 / ``close``).  When the same traffic crosses an OS boundary each call
-becomes a tagged tuple — an *envelope* — on a byte transport: an IPC
-connection for process-backed pipes (:mod:`repro.coexpr.proc`) or a TCP
-socket for remote pipes (:mod:`repro.net`).  This module is the single
+becomes a tagged tuple — an *envelope* — on a stream socket: a
+``socketpair`` end for process-backed pipes (:mod:`repro.coexpr.proc`)
+or a TCP connection for remote pipes (:mod:`repro.net`).  This module is the single
 definition of that vocabulary plus the two codecs every transport needs:
 
 * **error encoding** — a producer exception as a transportable payload,

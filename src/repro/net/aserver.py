@@ -134,7 +134,7 @@ class _AsyncSession(_SessionRules):
         transport now.  Loop-thread only — cross-thread callers go
         through the server's ``call_soon_threadsafe``."""
         self._killed = True
-        self._credit_wakeup.set()
+        self._wake()
         if self.coexpr is not None:
             self.coexpr.close()
         try:
@@ -142,20 +142,7 @@ class _AsyncSession(_SessionRules):
         except Exception:  # noqa: BLE001 - transport already gone
             pass
 
-    def finish(self) -> None:
-        """Graceful teardown: stop producing; the sender flushes and
-        sends ``WIRE_CLOSE`` on its way out (loop-thread only)."""
-        self._cancelled = True
-        self._credit_wakeup.set()
-        if self.coexpr is not None:
-            self.coexpr.close()
-
-    # -- credit ----------------------------------------------------------------
-
-    def grant(self, amount: int | None) -> None:
-        """Apply one ``WIRE_CREDIT`` envelope (see
-        :meth:`~repro.net.server._SessionRules._apply_grant`)."""
-        self._apply_grant(amount)
+    def _wake(self) -> None:
         self._credit_wakeup.set()
 
     # -- sender ----------------------------------------------------------------

@@ -11,27 +11,17 @@ start their producer through one dial (:func:`_dial`):
   by name, for bodies that only exist on the far side.  It raises where
   the first shape degrades.
 
-A :class:`RemoteWorker` is the socket half of the shared stream pump
-(:class:`~repro.coexpr.pump.StreamPump`, which the process tier also
-runs): the pump forwards envelopes into the pipe's channel and watches
-the heartbeat; expiry, an EOF, or a torn frame surfaces as
+A :class:`RemoteWorker` runs the client half of the session protocol
+that every socket tier shares (:class:`~repro.coexpr.pump.StreamPump`,
+which the process tier also runs): the handshake, coalesced credit
+sized by the server's quota, and cancel as ``WIRE_CANCEL``; the pump
+forwards envelopes into the pipe's channel and watches the heartbeat.
+Expiry, an EOF, or a torn frame surfaces as
 :class:`~repro.errors.PipeConnectionLost` through the channel (after
-the data received first — the data-before-error invariant).
-
-Flow control is credit-based: the client grants credit equal to its
-channel capacity up front (None = unlimited for an unbounded channel)
-and gives credit back only for items ``put_many`` has delivered — so
-the server's credit plus the data in flight never exceed one window,
-and a slow consumer throttles the remote producer the same way it
-throttles a local worker blocked on a full channel.  Grants are
-coalesced: the pump owes the server the delivered count and pays it
-once half the effective window is owed — or the whole window, when
-that is 3 or less and half would be a grant per item.  The request
-asks the server for its ``max_credit`` quota *Q*, which it answers with
-``WIRE_QUOTA`` before the stream; the effective window is then
-``min(window, Q)``, so the grant count is set by the stream, the window
-and the quota, not by which side is faster.  A peer that has not told
-its quota is paid for every slice, since its clamp is unknown.
+the data received first — the data-before-error invariant).  This
+module adds what only a network peer needs: ``WIRE_BUSY``, the circuit
+breaker, the server pool's health notes and chaos ticks, and the drain
+verdict of :func:`drain_address`.
 
 Degradation mirrors :mod:`repro.coexpr.proc`: a body that cannot leave
 the process (:func:`~repro.coexpr.proc.body_portability_reason`), a
@@ -55,21 +45,11 @@ import time
 from typing import Any, Callable
 
 from ..coexpr.coexpression import CoExpression
-from ..coexpr.options import POLL_SLICE
 from ..coexpr.pipe import Pipe
 from ..coexpr.proc import body_portability_reason
 from ..coexpr.pump import StreamLost, StreamPump
 from ..coexpr.scheduler import PipeScheduler
-from ..coexpr.wire import (
-    WIRE_BUSY,
-    WIRE_CALL,
-    WIRE_CANCEL,
-    WIRE_CREDIT,
-    WIRE_DEADLINE,
-    WIRE_QUOTA,
-    WIRE_SPAWN,
-    SocketFramer,
-)
+from ..coexpr.wire import WIRE_BUSY, WIRE_SPAWN
 from ..errors import InjectedDisconnect, PipeConnectionLost, PipeServerBusy
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 
@@ -276,30 +256,26 @@ def drain_address(address: Any, reason: str) -> int:
 class RemoteWorker(StreamPump):
     """One server connection plus the pump thread draining it.
 
-    The pump, the watchdog and the once-only loss report are
-    :class:`~repro.coexpr.pump.StreamPump`'s; this class adds the
-    socket's half: the handshake, credit and the server's quota,
-    ``WIRE_BUSY``, the breaker and pool health notes, and the chaos
-    ticks.  The worker registers with the scheduler's session
-    accounting, so ``leaked()`` and ``shutdown()`` cover the open
-    socket.
+    The pump, the session's client half (handshake, credit and the
+    server's quota, cancel) and the once-only loss report are
+    :class:`~repro.coexpr.pump.StreamPump`'s; this class adds
+    ``WIRE_BUSY``, the breaker and pool health notes, the chaos ticks
+    and the drain verdict.  The worker registers with the scheduler's
+    session accounting, so ``leaked()`` and ``shutdown()`` cover the
+    open socket.
     """
 
     __slots__ = (
-        "framer",
         "address",
-        "window",
         "pool",
         "route_key",
         "chaos",
         "drained",
-        "_healthy",
-        "_owed",
-        "_threshold",
         "_retry_after",
     )
 
     LOST_EVENT = EventKind.NET_LOST
+    TRANSPORT = "remote"
 
     def __init__(
         self,
@@ -309,11 +285,8 @@ class RemoteWorker(StreamPump):
         address: Any,
         name: str,
     ) -> None:
-        super().__init__(pipe, scheduler, name)
-        self.framer = SocketFramer(sock)
+        super().__init__(pipe, scheduler, name, sock)
         self.address = address
-        #: Credit window: the channel capacity (None = unbounded).
-        self.window: int | None = pipe.capacity or None
         #: Cluster routing, when this session was dialed through a
         #: :class:`~repro.net.cluster.ServerPool`: the pool hears about
         #: losses/health (suspicion, failover accounting) keyed by
@@ -327,105 +300,48 @@ class RemoteWorker(StreamPump):
         #: reason instead of the bare transport error the forced close
         #: produced.
         self.drained: str | None = None
-        #: True once the stream proved the server healthy (first data /
-        #: error / close envelope) and the breaker heard about it.
-        self._healthy = False
-        # Coalesced credit: items delivered but not yet granted back,
-        # paid once `_threshold` are owed.  Until the server has told
-        # its quota a clamp it cannot see could leave both sides
-        # waiting, so every delivery is paid at once; WIRE_QUOTA then
-        # sets the threshold from the effective window E =
-        # min(window, quota): E itself when E <= 3 (half of it would be
-        # a grant per item), else E // 2.  After the first grant is
-        # clamped to E, the server's credit, the data in flight and the
-        # owed count sum to E, so a pump that blocks owing less than
-        # the threshold (never more than E) leaves the server credit or
-        # data on the way.
-        self._owed = 0
-        self._threshold = 1
         #: The server's ``WIRE_BUSY`` hint once it shed this session.
         self._retry_after: float | None = None
-
-    # -- handshake -------------------------------------------------------------
-
-    def handshake(self, request: tuple) -> None:
-        """Ship *request*, the initial credit grant, and (when the pipe
-        carries one) the deadline budget — remaining seconds, the only
-        form that survives a clock boundary."""
-        self.framer.send(request)
-        self.framer.send((WIRE_CREDIT, self.window))
-        deadline = self.pipe.deadline
-        if deadline is not None:
-            remaining = deadline.remaining()
-            self.framer.send((WIRE_DEADLINE, remaining))
-            if lifecycle_enabled():
-                emit_lifecycle(
-                    Event(
-                        EventKind.DEADLINE_PROPAGATED,
-                        f"pipe:{self.name}",
-                        0,
-                        {"remaining": remaining, "transport": "remote"},
-                    )
-                )
-        self.framer.sock.settimeout(POLL_SLICE)
 
     # -- the transport half of the pump ----------------------------------------
 
     def _endpoints(self) -> tuple:
-        return self.framer.recv, self._deliver
+        receive, deliver = super()._endpoints()
+        chaos = self.chaos
+        if chaos is None:
+            return receive, deliver
 
-    def _deliver(self, slice_: list) -> None:
-        """One data slice: into the channel, then the chaos ticks and
-        the credit owed for it."""
-        if not self._healthy:
-            self._served()
-        self.pipe.out.put_many(slice_)
-        if self.chaos is not None:
+        def deliver_ticked(slice_: list) -> None:
             # Deterministic chaos: tick the armed fault plan once per
             # delivered item.  drop_connection rules raise here;
             # kill_server rules fire silently and the fault arrives
             # through the socket like a real crash.
+            deliver(slice_)
             try:
                 for item in slice_:
-                    self.chaos.on_item(item)
+                    chaos.on_item(item)
             except InjectedDisconnect:
                 raise StreamLost("injected connection drop") from None
-        if self.window is not None:
-            self._owed += len(slice_)
-            if self._owed >= self._threshold:
-                try:
-                    self.framer.send((WIRE_CREDIT, self._owed))
-                except (OSError, EOFError) as error:
-                    raise StreamLost(f"transport error: {error!r}") from None
-                self._owed = 0
+
+        return receive, deliver_ticked
 
     def _served(self) -> None:
         # First substantive envelope: the server accepted and ran the
         # session, so the breaker's failure streak is over (a long
         # stream must not wait for WIRE_CLOSE to close the breaker).
         if not self._healthy:
-            self._healthy = True
+            super()._served()
             breaker_for(self.address).record_success()
             if self.pool is not None:
                 self.pool.note_healthy(self.address)
 
     def _control(self, envelope: tuple) -> None:
-        kind = envelope[0]
-        if kind == WIRE_QUOTA:
-            quota = envelope[1]
-            if quota is not None and not (type(quota) is int and quota >= 1):
-                raise StreamLost(f"protocol violation: {envelope!r}")
-            window = self.window
-            if window is not None:
-                effective = window if quota is None else min(window, quota)
-                self._threshold = effective if effective <= 3 else effective // 2
-        elif kind == WIRE_BUSY:
+        if envelope[0] == WIRE_BUSY:
             # The server shed us: a retryable loss that feeds the
             # breaker its retry_after hint.
             self._retry_after = float(envelope[1] if len(envelope) > 1 else 0.0)
             raise StreamLost("server at capacity")
-        else:
-            super()._control(envelope)
+        super()._control(envelope)
 
     def _loss(self, reason: str) -> tuple:
         reason = self.drained or reason
@@ -450,18 +366,8 @@ class RemoteWorker(StreamPump):
 
     def _release(self) -> None:
         _unregister_live(self)
-        self.framer.close()
+        super()._release()
         self.scheduler.untrack_session(self)
-
-    # -- teardown --------------------------------------------------------------
-
-    def terminate(self) -> None:
-        """Tell the server to stop, then close the socket (idempotent)."""
-        try:
-            self.framer.send((WIRE_CANCEL,))
-        except (OSError, EOFError):
-            pass  # session already gone
-        self.framer.close()
 
     def kill(self) -> None:
         """Abrupt close (scheduler shutdown): unblocks the pump."""
@@ -473,7 +379,7 @@ def _connect_worker(
     scheduler: Any,
     address: Any,
     name: str,
-    request: tuple,
+    request: dict,
     pool: Any = None,
     key: Any = None,
 ) -> RemoteWorker:
@@ -492,11 +398,7 @@ def _connect_worker(
     worker = RemoteWorker(pipe, scheduler, sock, address, name)
     try:
         scheduler.track_session(worker)  # raises after shutdown
-    except BaseException:
-        worker.framer.close()
-        raise
-    try:
-        worker.handshake(request)
+        worker.handshake(**request)
     except BaseException:
         worker.framer.close()
         scheduler.untrack_session(worker)
@@ -535,7 +437,7 @@ def _dial_pooled(
     pipe: Any,
     scheduler: Any,
     pool: Any,
-    request: tuple,
+    request: dict,
     label: Callable[[Any], str],
 ) -> RemoteWorker:
     """Dial through a :class:`~repro.net.cluster.ServerPool`.
@@ -580,7 +482,7 @@ def _dial_pooled(
 
 
 def _dial(
-    pipe: Any, scheduler: Any, request: tuple, label: Callable[[Any], str]
+    pipe: Any, scheduler: Any, request: dict, label: Callable[[Any], str]
 ) -> RemoteWorker:
     """Open *pipe*'s session with *request* and start its pump.
 
@@ -634,19 +536,8 @@ def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
     body = _pickled_body(pipe)
     if isinstance(body, str):
         return body
-    options = pipe.options
     name = pipe.coexpr.name
-    request = (
-        WIRE_SPAWN,
-        {
-            "body": body,
-            "name": name,
-            "batch": options.batch,
-            "max_linger": options.max_linger,
-            "heartbeat_interval": options.beat_interval,
-            "quota": True,
-        },
-    )
+    request = {"name": name, "kind": WIRE_SPAWN, "body": body}
     try:
         return _dial(pipe, scheduler, request, lambda address: name)
     except PipeConnectionLost as error:
@@ -711,19 +602,8 @@ class RemotePipe(Pipe):
     address = property(lambda self: self.options.remote_address)
 
     def _start_tier(self, scheduler: Any) -> RemoteWorker:
-        options = self.options
-        request = (
-            WIRE_CALL,
-            {
-                "name": self.factory_name,
-                "args": self.args,
-                "batch": options.batch,
-                "max_linger": None,
-                "heartbeat_interval": options.beat_interval,
-                "quota": True,
-            },
-        )
         name = self.factory_name
+        request = {"name": name, "args": self.args}
         return _dial(self, scheduler, request, lambda a: f"{name}@{a[0]}:{a[1]}")
 
     def refresh(self) -> "RemotePipe":

@@ -22,7 +22,9 @@ threads:
 The rules themselves, and the flows that run them — the sender's
 stream loop included — are written once in :class:`_SessionRules`:
 :class:`Session` is their threaded I/O driver, :mod:`repro.net.aserver`
-their event-loop driver.
+their event-loop driver.  A process pipe's child
+(:mod:`repro.coexpr.proc`) serves exactly one threaded :class:`Session`
+over a ``socketpair`` end, under an unstarted server.
 
 Stream termination follows the channel contract end to end: data
 slices in production order, a crash flushed *after* the data produced
@@ -133,7 +135,8 @@ class _SessionRules:
     :class:`~repro.net.aserver._AsyncSession` (event-loop tasks) are I/O
     drivers over it: each supplies its locking (``_guard``), the I/O
     primitives the flows await — the sender's time slice (``_yield``)
-    among them — and ``grant`` and ``kill``, which the dispatch calls.
+    among them — its credit wakeup (``_wake``: a condition notify or an
+    event set) and ``kill``, which the dispatch calls.
     """
 
     #: Seconds of activations the sender runs between ``_yield`` calls
@@ -277,6 +280,13 @@ class _SessionRules:
             self._credit += amount
             if quota is not None and self._credit > quota:
                 self._credit = quota
+
+    def grant(self, amount: int | None) -> None:
+        """Apply one ``WIRE_CREDIT`` envelope (see :meth:`_apply_grant`)
+        and wake a sender waiting for credit."""
+        with self._guard:
+            self._apply_grant(amount)
+            self._wake()
 
     def _refill(self) -> bool:
         """Replenish greedy credit; False when only the client can."""
@@ -572,6 +582,20 @@ class _SessionRules:
 
     # -- teardown --------------------------------------------------------------
 
+    def finish(self) -> None:
+        """Graceful teardown: stop producing, flush, close the stream.
+
+        Closing the co-expression makes its next activation fail, so the
+        sender falls out of its loop naturally — delivering the batch it
+        had coalesced and the ``WIRE_CLOSE`` terminator before the
+        socket goes down.
+        """
+        with self._guard:
+            self._cancelled = True
+            self._wake()
+        if self.coexpr is not None:
+            self.coexpr.close()
+
     def _finish(self) -> None:
         """The sender's exit: stop the body and tear the session down.
 
@@ -662,7 +686,7 @@ class Session(_SessionRules):
         """
         with self._cond:
             self._killed = True
-            self._cond.notify_all()
+            self._wake()
             if not self._torn:
                 try:
                     self.framer.sock.shutdown(socket.SHUT_RDWR)
@@ -671,27 +695,8 @@ class Session(_SessionRules):
         if self.coexpr is not None:
             self.coexpr.close()
 
-    def finish(self) -> None:
-        """Graceful teardown: stop producing, flush, close the stream.
-
-        Closing the co-expression makes its next activation fail, so the
-        sender falls out of its loop naturally — delivering the batch it
-        had coalesced and the ``WIRE_CLOSE`` terminator before the
-        socket goes down.
-        """
-        with self._cond:
-            self._cancelled = True
-            self._cond.notify_all()
-        if self.coexpr is not None:
-            self.coexpr.close()
-
-    # -- credit ----------------------------------------------------------------
-
-    def grant(self, amount: int | None) -> None:
-        """Apply one ``WIRE_CREDIT`` envelope (see :meth:`_apply_grant`)."""
-        with self._cond:
-            self._apply_grant(amount)
-            self._cond.notify_all()
+    def _wake(self) -> None:
+        self._cond.notify_all()
 
     # -- sender ----------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.coexpr import proc
 from repro.coexpr.proc import KILLED_EXIT, default_context, spawn_unsafe_reason
 from repro.coexpr.scheduler import PipeScheduler
 from repro.coexpr.supervision import FaultPlan, supervise
-from repro.coexpr.wire import WIRE_CLOSE, WIRE_DATA
+from repro.coexpr.wire import WIRE_CLOSE, WIRE_DATA, SocketFramer
 from repro.monitor import EventKind, Tracer
 
 pytestmark = pytest.mark.skipif(
@@ -94,6 +94,26 @@ class TestProcessStreaming:
         pipe = proc_pipe(counted(50), capacity=4).start()
         assert list(pipe.iterate()) == list(range(50))
 
+    def test_bounded_pipe_is_throttled_by_credit(self):
+        # The child produces only what the parent's credit covers: the
+        # item taken, the channel's 4, the one slice the pump is
+        # blocked delivering, one window of credit and one batch being
+        # filled.  Without credit the socket buffer lets it run
+        # thousands of items ahead.
+        produced = default_context().Value("i", 0)
+
+        def body():
+            while True:
+                with produced.get_lock():
+                    produced.value += 1
+                yield produced.value
+
+        pipe = proc_pipe(CoExpression(body, name="counting"), capacity=4).start()
+        assert pipe.take() == 1
+        time.sleep(0.3)
+        assert produced.value <= 1 + 4 + 1 + 4 + 1
+        assert pipe.cancel(join=True, timeout=5.0)
+
     def test_refresh_respawns_process(self):
         pipe = proc_pipe(counted(5)).start()
         assert list(pipe.iterate()) == list(range(5))
@@ -128,13 +148,13 @@ def children_cpu():
 
 
 class TestProcessLinger:
-    """The child's beat thread doubles as the linger flusher: it wakes
+    """The child's session reader doubles as the linger flusher: it wakes
     when a partial batch comes due, not only at the next beat, and never
     more often than once per tick."""
 
     def test_partial_batch_arrives_within_linger_not_heartbeat(self):
         # 64 results never fill the batch and the body sleeps for 1 s
-        # after its first: only the beat thread can deliver result 0.
+        # after its first: only the session reader can deliver result 0.
         pipe = proc_pipe(
             one_then_sleep(1.0), batch=64, max_linger=0.05, heartbeat_interval=0.5
         ).start()
@@ -296,7 +316,7 @@ class TestWorkerLost:
             yield 2
             yield 3
             yield 4  # completes a batch of 4 -> flushed over IPC
-            time.sleep(0.3)  # let the envelope reach the OS pipe
+            time.sleep(0.3)  # let the envelope reach the socket
             os._exit(KILLED_EXIT)
 
         pipe = proc_pipe(
@@ -312,15 +332,18 @@ class TestWorkerLost:
         # A child that sends a kind the pump does not know has broken
         # the protocol: the data before it arrives, then the loss —
         # never a clean end of stream.
-        def child(conn, *args):
+        def child(sock, *args):
+            framer = SocketFramer(sock)
+            framer.recv()  # the request
+            framer.recv()  # the initial window
             for envelope in (
                 (WIRE_DATA, [1, 2]),
                 ("bogus", 3),
                 (WIRE_DATA, [4]),
                 (WIRE_CLOSE,),
             ):
-                conn.send(envelope)
-            conn.close()
+                framer.send(envelope)
+            framer.close()
 
         monkeypatch.setattr(proc, "_child_main", child)
         pipe = proc_pipe(counted(5)).start()
@@ -489,6 +512,21 @@ class TestCancellation:
             if pipe.take() is FAIL:
                 break
         assert pipe.take() is FAIL
+
+    def test_cancel_reaches_the_child_as_wire_cancel(self):
+        # The child's session stops on the cancel envelope and exits on
+        # its own: exit code 0, not the reap's SIGTERM (-15).
+        def body():
+            i = 0
+            while True:
+                yield i
+                i += 1
+
+        pipe = proc_pipe(CoExpression(body, name="endless"), capacity=4).start()
+        assert pipe.take() == 0
+        process = pipe._tier_worker.process
+        assert pipe.cancel(join=True, timeout=5.0)
+        assert process.exitcode == 0
 
     def test_double_cancel_is_noop(self):
         pipe = proc_pipe(counted(1000), capacity=4).start()

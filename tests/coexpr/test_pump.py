@@ -44,16 +44,19 @@ def _ending(how: str) -> tuple:
 
 
 def _stub_child(how: str):
-    def child(conn, *args):  # runs in the forked child
+    def child(sock, *args):  # runs in the forked child
+        framer = SocketFramer(sock)
+        framer.recv()  # the request
+        framer.recv()  # the initial window
         for slice_ in SLICES:
-            conn.send((WIRE_DATA, slice_))
+            framer.send((WIRE_DATA, slice_))
         for envelope in _ending(how):
-            conn.send(envelope)
+            framer.send(envelope)
         if how == "eof":
-            conn.close()
+            framer.close()
         if how != "error":
             time.sleep(30)  # no beats: the pump's reap ends this
-        conn.close()
+        framer.close()
 
     return child
 
