@@ -17,7 +17,7 @@ import time
 
 from repro.coexpr import PipeScheduler, source_pipe, use_scheduler
 from repro.coexpr.supervision import NO_BACKOFF, supervise
-from repro.monitor import Tracer
+from repro.monitor import EventKind, Tracer
 from repro.net import GeneratorServer, GossipMembers, ServerPool
 
 TOTAL = 200
@@ -103,10 +103,12 @@ def main() -> None:
             print(f"pool stats: failovers={stats['failovers']} "
                   f"joins={stats['joins']} downs={stats['downs']} "
                   f"weights={{{', '.join(f'{h}:{p}={w:g}' for (h, p), w in stats['weights'].items())}}}")
-            membership = tracer.membership_stats().get(f"pool:{pool.name}", {})
-            print(f"membership_stats: joined={membership.get('joined')} "
-                  f"went_down={membership.get('went_down')} "
-                  f"sources={membership.get('sources')}")
+            events = tracer.summary().get(f"pool:{pool.name}", {})
+            joins = events.get(EventKind.MEMBER_JOIN, [])
+            downs = events.get(EventKind.MEMBER_DOWN, [])
+            print(f"membership events: joined={[j['address'] for j in joins]} "
+                  f"went_down={[d['address'] for d in downs]} "
+                  f"sources={sorted({j['source'] for j in joins})}")
         finally:
             pool.close()
             fresh.shutdown()

@@ -27,10 +27,14 @@ def trace_a_search() -> None:
     )
 
     print("\nhot nodes (productions / resumes):")
-    for label, per_kind in sorted(
-        tracer.per_node().items(), key=lambda kv: -kv[1]["produce"]
+    tally = {
+        label: (len(kinds.get("produce", ())), len(kinds.get("resume", ())))
+        for label, kinds in tracer.summary().items()
+    }
+    for label, (produced, resumed) in sorted(
+        tally.items(), key=lambda kv: -kv[1][0]
     )[:5]:
-        print(f"  {label:<18} {per_kind['produce']:>4} / {per_kind['resume']:>4}")
+        print(f"  {label:<18} {produced:>4} / {resumed:>4}")
 
 
 def trace_a_failure() -> None:

@@ -23,7 +23,7 @@ from repro.coexpr import (
     use_scheduler,
 )
 from repro.coexpr.supervision import NO_BACKOFF, supervised_pipeline
-from repro.monitor import Tracer
+from repro.monitor import EventKind, Tracer
 from repro.net import GeneratorServer, RemotePipe
 
 
@@ -111,12 +111,16 @@ def demo_kill_and_recover(server) -> None:
     expected = [x * x for x in range(30)]
     print(f"   killed {killed} session(s); sequence intact: {results == expected}")
     print(f"   retries consumed: {piped.failures}")
-    for node, stats in tracer.net_stats().items():
-        print(
-            f"   {node}: connects={stats['connects']} "
-            f"sessions={stats['sessions']} losses={stats['losses']} "
-            f"reasons={stats['reasons']}"
-        )
+    for node, events in tracer.summary().items():
+        connects = events.get(EventKind.NET_CONNECT, [])
+        sessions = events.get(EventKind.NET_SESSION, [])
+        losses = events.get(EventKind.NET_LOST, [])
+        if connects or sessions or losses:
+            print(
+                f"   {node}: connects={len(connects)} "
+                f"sessions={len(sessions)} losses={len(losses)} "
+                f"reasons={[loss['reason'] for loss in losses]}"
+            )
 
 
 # ---------------------------------------------------------------------------

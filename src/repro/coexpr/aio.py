@@ -289,8 +289,8 @@ class AsyncPipe:
     :class:`AsyncWorker`'s coroutine, a task on the caller's running
     loop (outside scheduler accounting); the consumer side is
     :class:`~repro.coexpr.pipe.Pipe`'s own code — lifecycle events, the
-    deadline and timeout errors, upstream cancellation, the batching
-    counters — and :meth:`take` follows :meth:`Pipe.take`'s rules.  The
+    deadline and timeout errors, upstream cancellation, the ``BATCH``
+    events — and :meth:`take` follows :meth:`Pipe.take`'s rules.  The
     task starts on the first take (the paper's proxy spawns from
     ``next()``) or via :meth:`start`.
 
@@ -328,24 +328,20 @@ class AsyncPipe:
         self._cancelled = False
         self._errored = False
         self._pending: deque = deque()
-        self._flushes = 0
-        self._batched_items = 0
         self._coalescer = Coalescer(options.batch)
 
-    # Pipe's consumer rules and counters, the same code.
+    # Pipe's consumer rules and events, the same code.
     _emit = Pipe._emit
     _deadline_error = Pipe._deadline_error
     _timed_out = Pipe._timed_out
     _cancel_upstream = Pipe._cancel_upstream
     _queued = Pipe._queued
-    batch_stats = Pipe.batch_stats
 
     def start(self) -> "AsyncPipe":
         """Spawn the producer task on the running loop (idempotent)."""
         if self._task is None and not self._cancelled:
             self._task = AsyncWorker(self).start(asyncio.get_running_loop())
             self._emit(EventKind.START)
-            self._emit(EventKind.ASYNC_SESSION, {"transport": "loop"})
         return self
 
     async def take(self, timeout: Any = _UNSET) -> Any:
@@ -451,11 +447,11 @@ class AsyncWorker:
         self._future: Any = None
 
     def start(self, loop: asyncio.AbstractEventLoop | None = None) -> Any:
-        """Schedule :meth:`_produce` and return its future.  Without
-        *loop*: on the shared loop, delivering into the pipe's threading
-        channel by :meth:`_deliver`.  With the caller's running *loop*:
-        as a task there, awaiting the :class:`AsyncChannel`'s
-        ``put_many``."""
+        """Schedule :meth:`_produce`, announce it with one
+        ``ASYNC_SESSION`` event and return its future.  Without *loop*:
+        on the shared loop, delivering into the pipe's threading channel
+        by :meth:`_deliver`.  With the caller's running *loop*: as a task
+        there, awaiting the :class:`AsyncChannel`'s ``put_many``."""
         if loop is None:
             future = asyncio.run_coroutine_threadsafe(
                 self._produce(self._deliver), event_loop()
@@ -466,6 +462,10 @@ class AsyncWorker:
             )
         future.add_done_callback(lambda _f: self.handle._mark_done())
         self._future = future
+        self.pipe._emit(
+            EventKind.ASYNC_SESSION,
+            {"transport": "loop", "name": self.pipe.coexpr.name},
+        )
         return future
 
     # -- the producer coroutine ----------------------------------------------
@@ -492,13 +492,11 @@ class AsyncWorker:
             sent += len(chunk)
 
     async def _flush(self, deliver: Callable[[List[Any]], Awaitable[Any]]) -> None:
-        """Deliver the coalesced batch and keep the pipe's batching
-        counters/events identical to the thread tier's."""
+        """Deliver the coalesced batch and emit the thread tier's
+        ``BATCH`` event for it."""
         pipe = self.pipe
         items = pipe._coalescer.drain()
         await deliver(items)
-        pipe._flushes += 1
-        pipe._batched_items += len(items)
         if lifecycle_enabled():
             pipe._emit(
                 EventKind.BATCH,
@@ -635,5 +633,4 @@ def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | str:
     except BaseException:
         scheduler.untrack_session(worker)
         raise
-    pipe._emit(EventKind.ASYNC_SESSION, {"transport": "loop", "name": pipe.coexpr.name})
     return worker

@@ -280,8 +280,8 @@ class DataParallel:
                     delivered,
                     reason=error.reason or str(error),
                     fallback=fallback,
-                    # The replica the chunk was stranded on — feeds the
-                    # per-address breakdown in Tracer.cluster_stats().
+                    # The replica the chunk was stranded on — named in
+                    # the STEAL event's payload.
                     address=pool.last_address(task.coexpr.name),
                 )
                 task.cancel()

@@ -111,8 +111,6 @@ class Pipe(IconIterator):
         "_degraded",
         "_errored",
         "_pending",
-        "_flushes",
-        "_batched_items",
         "_flusher",
         "_coalescer",
         "_cond",
@@ -181,8 +179,6 @@ class Pipe(IconIterator):
         #: served.  Fan-out consumers share it through deque's atomic
         #: ``popleft``.
         self._pending: deque = deque()
-        self._flushes = 0
-        self._batched_items = 0
         #: The batching rule, shared by whichever in-process tier runs
         #: the producer (thread or async).
         self._coalescer = Coalescer(options.batch, options.max_linger)
@@ -369,8 +365,6 @@ class Pipe(IconIterator):
             return
         items = self._coalescer.drain()
         self.out.put_many(items)
-        self._flushes += 1
-        self._batched_items += len(items)
         if lifecycle_enabled():
             self._emit(
                 EventKind.BATCH,
@@ -536,19 +530,6 @@ class Pipe(IconIterator):
         # The same options: the same budget (a refresh is not a reset)
         # and the same server pool.
         return Pipe(self.coexpr.refresh(), scheduler=self._scheduler, options=self.options)
-
-    @property
-    def batch_stats(self) -> dict:
-        """Producer-side batching counters: flushes, items moved, and the
-        mean realized batch size (equals 1.0-per-put semantics when
-        ``batch=1``, where no coalescing happens and this stays zeroed)."""
-        flushes = self._flushes
-        items = self._batched_items
-        return {
-            "flushes": flushes,
-            "items": items,
-            "mean_batch": (items / flushes) if flushes else 0.0,
-        }
 
     # -- runtime protocol hooks ------------------------------------------------
 

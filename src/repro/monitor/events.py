@@ -29,8 +29,10 @@ class EventKind:
     FAIL = "fail"
 
     # Pipe lifecycle transitions (the supervision layer's vocabulary):
-    # a worker starting, a supervised restart, a cancellation, a deadline
-    # expiry, and a retry budget running out.
+    # a worker starting and a cancellation (no payload), a supervised
+    # restart (``{"attempt": ..., "delay": ..., "error": repr}``), a take
+    # timing out (value = the timeout in seconds), and a retry budget
+    # running out (value = the failure count).
     START = "start"
     RETRY = "retry"
     CANCEL = "cancel"
@@ -51,7 +53,7 @@ class EventKind:
 
     # Remote pipes (the network tier): a client connecting to a
     # generator server (``{"address": ...}``), the server opening a
-    # session for a request (``{"peer": ..., "request": ..., "name": ...}``),
+    # session for a request (``{"peer": ..., "name": ..., "server": ...}``),
     # and the client-side watchdog declaring the connection lost
     # (``{"reason": ..., "address": ...}``).
     NET_CONNECT = "net-connect"
@@ -68,11 +70,12 @@ class EventKind:
     DEADLINE_EXPIRED = "deadline-expired"
 
     # Admission control and the client-side circuit breaker: a server
-    # shedding a connection at capacity (``{"active": ..., "max_sessions":
-    # ..., "retry_after": ...}``), the breaker tripping open for an
-    # address (``{"address": ..., "failures": ..., "retry_after": ...}``),
-    # a half-open probe being admitted, and the breaker closing again
-    # after a healthy stream.
+    # shedding a connection at capacity (``{"peer": ..., "active": ...,
+    # "max_sessions": ..., "retry_after": ...}``), the breaker tripping
+    # open for an address (``{"address": ..., "failures": ...,
+    # "retry_after": ...}``), a half-open probe being admitted
+    # (``{"address": ..., "failures": ...}``), and the breaker closing
+    # again after a healthy stream (``{"address": ...}``).
     SHED = "shed"
     BREAKER_OPEN = "breaker-open"
     BREAKER_PROBE = "breaker-probe"
@@ -83,7 +86,8 @@ class EventKind:
     # "to": ...}``), routing passing over a candidate replica without a
     # session (``{"key": ..., "skipped": ..., "reason": ...}``), and a
     # DataParallel chunk stranded on a dead/shed replica being re-run
-    # (``{"key": ..., "delivered": ..., "reason": ..., "fallback": ...}``).
+    # (``{"key": ..., "delivered": ..., "reason": ..., "fallback": ...,
+    # "address": ...}``).
     FAILOVER = "failover"
     REROUTE = "reroute"
     STEAL = "steal"
@@ -101,8 +105,9 @@ class EventKind:
     MEMBER_UP = "member-up"
     MEMBER_DOWN = "member-down"
 
-    # The async execution tier: a pipe body spawned as a task on the
-    # shared event loop (``{"transport": "loop", "name": ...}``) or an
+    # The async execution tier: a pipe body started as a task on an
+    # event loop — the shared one for ``backend="async"``, the caller's
+    # for ``AsyncPipe`` (``{"transport": "loop", "name": ...}``) — or an
     # event-loop server admitting a session
     # (``{"peer": ..., "name": ..., "server": ...}``) — one kind for
     # both sides, distinguished by the payload, mirroring how

@@ -121,9 +121,10 @@ class Tracer:
         self.events.clear()
 
     def lifecycle(self):
-        """Context manager: also collect pipe lifecycle events
-        (start/retry/cancel/timeout/exhaust) emitted by the supervision
-        layer while the block runs."""
+        """Context manager: also collect the lifecycle events every
+        tier emits on the monitor bus (pipes, supervision, the process,
+        network, cluster and async tiers, the compiler) while the block
+        runs."""
         from .events import lifecycle_sink
 
         return lifecycle_sink(self.emit)
@@ -137,349 +138,37 @@ class Tracer:
             out[event.kind] += 1
         return out
 
-    def per_node(self) -> dict:
-        """``{node label: {kind: count}}`` — the hot-spot view."""
+    def summary(self) -> dict:
+        """Every collected payload, ``{node: {kind: [payload, ...]}}``,
+        in emission order — a count is ``len(...)``.
+
+        One view for every tier: the payload fields are the emitter's,
+        listed with each kind in :class:`~repro.monitor.events.EventKind`
+        (an iteration event's payload is the produced value, or None)."""
         out: dict = {}
         for event in self.events:
-            out.setdefault(event.node, {k: 0 for k in EventKind.ALL})
-            out[event.node][event.kind] += 1
-        return out
-
-    def batch_stats(self) -> dict:
-        """Per-pipe batched-transport summary from collected ``batch``
-        events: ``{node: {flushes, items, mean_batch, mean_occupancy}}``.
-
-        ``mean_batch`` is the realized coalescing factor (how many
-        elements each flush actually moved); ``mean_occupancy`` is the
-        channel depth observed right after each flush — together they
-        show whether a pipeline is throughput-bound (large batches, deep
-        queue) or latency-bound (linger flushes, shallow queue)."""
-        out: dict = {}
-        for event in self.events:
-            if event.kind != EventKind.BATCH or not isinstance(event.value, dict):
-                continue
-            stats = out.setdefault(
-                event.node, {"flushes": 0, "items": 0, "occupancy": 0}
+            out.setdefault(event.node, {}).setdefault(event.kind, []).append(
+                event.value
             )
-            stats["flushes"] += 1
-            stats["items"] += event.value.get("size", 0)
-            stats["occupancy"] += event.value.get("queued", 0)
-        for stats in out.values():
-            flushes = stats["flushes"]
-            stats["mean_batch"] = stats["items"] / flushes
-            stats["mean_occupancy"] = stats.pop("occupancy") / flushes
-        return out
-
-    def process_stats(self) -> dict:
-        """Per-pipe crash-isolation summary from collected lifecycle
-        events: ``{node: {spawns, losses, degraded, exitcodes, reasons}}``.
-
-        ``spawns`` counts child processes forked for the node, ``losses``
-        counts watchdog firings (with the observed ``exitcodes``), and
-        ``degraded`` counts process requests that fell back to the thread
-        backend (with the degradation ``reasons``) — together they show
-        whether a pipeline actually ran isolated, how often workers were
-        lost, and why any degradation happened."""
-        kinds = (EventKind.SPAWN, EventKind.WORKER_LOST, EventKind.DEGRADED)
-        out: dict = {}
-        for event in self.events:
-            if event.kind not in kinds:
-                continue
-            stats = out.setdefault(
-                event.node,
-                {
-                    "spawns": 0,
-                    "losses": 0,
-                    "degraded": 0,
-                    "exitcodes": [],
-                    "reasons": [],
-                },
-            )
-            if event.kind == EventKind.SPAWN:
-                stats["spawns"] += 1
-            elif event.kind == EventKind.WORKER_LOST:
-                stats["losses"] += 1
-                if isinstance(event.value, dict):
-                    stats["exitcodes"].append(event.value.get("exitcode"))
-            else:
-                stats["degraded"] += 1
-                stats["reasons"].append(event.value)
-        return out
-
-    def net_stats(self) -> dict:
-        """Per-node network-tier summary from collected lifecycle events:
-        ``{node: {connects, sessions, losses, reasons, addresses}}``.
-
-        ``connects`` counts client connections opened to a generator
-        server (with the ``addresses`` dialed), ``sessions`` counts
-        server-side sessions accepted for the node, and ``losses``
-        counts client watchdog firings (with the loss ``reasons``) —
-        together they show whether a pipeline actually ran remote, how
-        often its connections died, and why."""
-        kinds = (EventKind.NET_CONNECT, EventKind.NET_SESSION, EventKind.NET_LOST)
-        out: dict = {}
-        for event in self.events:
-            if event.kind not in kinds:
-                continue
-            stats = out.setdefault(
-                event.node,
-                {
-                    "connects": 0,
-                    "sessions": 0,
-                    "losses": 0,
-                    "reasons": [],
-                    "addresses": [],
-                },
-            )
-            value = event.value if isinstance(event.value, dict) else {}
-            if event.kind == EventKind.NET_CONNECT:
-                stats["connects"] += 1
-                if "address" in value:
-                    stats["addresses"].append(value["address"])
-            elif event.kind == EventKind.NET_SESSION:
-                stats["sessions"] += 1
-            else:
-                stats["losses"] += 1
-                if "reason" in value:
-                    stats["reasons"].append(value["reason"])
-        return out
-
-    def async_stats(self) -> dict:
-        """Per-node async-tier summary from collected lifecycle events:
-        ``{node: {workers, sessions, names, peers}}``.
-
-        ``workers`` counts pipe bodies spawned as tasks on the shared
-        event loop (``backend="async"``, payload ``transport="loop"``)
-        and ``sessions`` counts event-loop server admissions
-        (:class:`~repro.net.aserver.AsyncGeneratorServer`, payload
-        carries ``peer``) — together they show how much of a pipeline
-        actually ran on the coroutine tier and who connected."""
-        out: dict = {}
-        for event in self.events:
-            if event.kind != EventKind.ASYNC_SESSION:
-                continue
-            stats = out.setdefault(
-                event.node,
-                {"workers": 0, "sessions": 0, "names": [], "peers": []},
-            )
-            value = event.value if isinstance(event.value, dict) else {}
-            if "peer" in value:
-                stats["sessions"] += 1
-                stats["peers"].append(value["peer"])
-            else:
-                stats["workers"] += 1
-            if "name" in value:
-                stats["names"].append(value["name"])
-        return out
-
-    def health_stats(self) -> dict:
-        """Per-node overload/deadline summary from collected lifecycle
-        events: ``{node: {deadline_expired, deadline_propagated, shed,
-        breaker_opens, breaker_probes, breaker_closes, wheres,
-        addresses}}``.
-
-        ``deadline_expired`` counts budget expiries (with the ``wheres``
-        they fired — ``start``/``take``/``producer``/``session``),
-        ``deadline_propagated`` counts budgets shipped across a
-        process/socket boundary, ``shed`` counts server-side admission
-        rejections, and the ``breaker_*`` counters trace the client
-        circuit breaker's open/probe/close transitions (with the
-        ``addresses`` involved) — together they show whether abandoned
-        work was actively reclaimed and how the stack behaved under
-        overload."""
-        kinds = {
-            EventKind.DEADLINE_EXPIRED: "deadline_expired",
-            EventKind.DEADLINE_PROPAGATED: "deadline_propagated",
-            EventKind.SHED: "shed",
-            EventKind.BREAKER_OPEN: "breaker_opens",
-            EventKind.BREAKER_PROBE: "breaker_probes",
-            EventKind.BREAKER_CLOSE: "breaker_closes",
-        }
-        out: dict = {}
-        for event in self.events:
-            counter = kinds.get(event.kind)
-            if counter is None:
-                continue
-            stats = out.setdefault(
-                event.node,
-                {
-                    "deadline_expired": 0,
-                    "deadline_propagated": 0,
-                    "shed": 0,
-                    "breaker_opens": 0,
-                    "breaker_probes": 0,
-                    "breaker_closes": 0,
-                    "wheres": [],
-                    "addresses": [],
-                },
-            )
-            stats[counter] += 1
-            value = event.value if isinstance(event.value, dict) else {}
-            if event.kind == EventKind.DEADLINE_EXPIRED and "where" in value:
-                stats["wheres"].append(value["where"])
-            if "address" in value:
-                stats["addresses"].append(value["address"])
-        return out
-
-    def cluster_stats(self) -> dict:
-        """Per-pool cluster-tier summary from collected lifecycle events:
-        ``{node: {failovers, reroutes, steals, transitions, skipped,
-        stolen_keys, by_address}}``.
-
-        ``failovers`` counts lost streams that reconnected to a
-        *different* replica (with the ``transitions`` — ``(from, to)``
-        address pairs — they made), ``reroutes`` counts candidates
-        routing passed over without a session (with the ``skipped``
-        addresses), and ``steals`` counts DataParallel chunks re-run off
-        a dead or shed replica (with the ``stolen_keys``) — together
-        they show how a replicated fleet actually recovered: which
-        replicas were avoided, where lost streams landed, and which
-        chunks had to move.
-
-        ``by_address`` breaks every counter down per replica:
-        ``{address: {failovers_out, failovers_in, reroutes, steals}}``
-        — streams that fled the address, streams that landed on it
-        during a failover, dials routed around it, and chunks stolen
-        off it.  A churn test asserts *which* replica's death caused
-        *which* recovery with this, not just the totals."""
-        kinds = {
-            EventKind.FAILOVER: "failovers",
-            EventKind.REROUTE: "reroutes",
-            EventKind.STEAL: "steals",
-        }
-        out: dict = {}
-
-        def _per_address(stats: dict, address: Any, counter: str) -> None:
-            if address is None:
-                return
-            if isinstance(address, list):
-                address = tuple(address)
-            entry = stats["by_address"].setdefault(
-                address,
-                {
-                    "failovers_out": 0,
-                    "failovers_in": 0,
-                    "reroutes": 0,
-                    "steals": 0,
-                },
-            )
-            entry[counter] += 1
-
-        for event in self.events:
-            counter = kinds.get(event.kind)
-            if counter is None:
-                continue
-            stats = out.setdefault(
-                event.node,
-                {
-                    "failovers": 0,
-                    "reroutes": 0,
-                    "steals": 0,
-                    "transitions": [],
-                    "skipped": [],
-                    "stolen_keys": [],
-                    "by_address": {},
-                },
-            )
-            stats[counter] += 1
-            value = event.value if isinstance(event.value, dict) else {}
-            if event.kind == EventKind.FAILOVER:
-                stats["transitions"].append((value.get("from"), value.get("to")))
-                _per_address(stats, value.get("from"), "failovers_out")
-                _per_address(stats, value.get("to"), "failovers_in")
-            elif event.kind == EventKind.REROUTE:
-                stats["skipped"].append(value.get("skipped"))
-                _per_address(stats, value.get("skipped"), "reroutes")
-            else:
-                stats["stolen_keys"].append(value.get("key"))
-                _per_address(stats, value.get("address"), "steals")
-        return out
-
-    def membership_stats(self) -> dict:
-        """Per-pool membership summary from collected lifecycle events:
-        ``{node: {joins, leaves, ups, downs, joined, left, went_down,
-        came_up, sources}}``.
-
-        ``joins``/``leaves`` count fleet changes (live ``add`` /
-        ``remove`` — a registry update, a gossiped replacement, an API
-        call) with the ``joined``/``left`` addresses and the
-        ``sources`` they came from; ``downs``/``ups`` count the health
-        prober's verdict transitions with the ``went_down``/``came_up``
-        addresses.  The churn acceptance check reads exactly this: a
-        SIGKILLed replica must show in ``went_down`` and its gossiped
-        replacement in ``joined``, on the same pool node, while the
-        stream never broke."""
-        kinds = {
-            EventKind.MEMBER_JOIN: ("joins", "joined"),
-            EventKind.MEMBER_LEAVE: ("leaves", "left"),
-            EventKind.MEMBER_UP: ("ups", "came_up"),
-            EventKind.MEMBER_DOWN: ("downs", "went_down"),
-        }
-        out: dict = {}
-        for event in self.events:
-            entry = kinds.get(event.kind)
-            if entry is None:
-                continue
-            counter, roster = entry
-            stats = out.setdefault(
-                event.node,
-                {
-                    "joins": 0,
-                    "leaves": 0,
-                    "ups": 0,
-                    "downs": 0,
-                    "joined": [],
-                    "left": [],
-                    "came_up": [],
-                    "went_down": [],
-                    "sources": [],
-                },
-            )
-            stats[counter] += 1
-            value = event.value if isinstance(event.value, dict) else {}
-            address = value.get("address")
-            if address is not None:
-                stats[roster].append(
-                    tuple(address) if isinstance(address, list) else address
-                )
-            source = value.get("source")
-            if source is not None and source not in stats["sources"]:
-                stats["sources"].append(source)
         return out
 
     def compile_stats(self) -> dict:
         """Per-unit compile-target summary from collected ``compile``
-        events: ``{unit: {compiles, optimized, lowered, fallbacks}}``.
-
-        The optimizing compile target (:mod:`repro.lang.optimize`) emits
-        one lifecycle event per translation unit it considers;
-        ``optimized`` counts the units it actually lowered to native
-        Python generators, ``lowered`` accumulates the shape names it
-        handled natively, and ``fallbacks`` the shapes it deferred to
-        the interpreted runtime — together they show how much of a
-        program the optimizer covered and what kept the rest on the
-        general path."""
+        events: ``{unit: {compiles, optimized, lowered, fallbacks}}`` —
+        how often the optimizer (:mod:`repro.lang.optimize`) considered
+        the unit and lowered it to native Python generators, and the
+        sorted shape names it lowered and deferred to the interpreted
+        runtime."""
         out: dict = {}
-        for event in self.events:
-            if event.kind != EventKind.COMPILE:
-                continue
-            stats = out.setdefault(
-                event.node,
-                {"compiles": 0, "optimized": 0, "lowered": [], "fallbacks": []},
-            )
-            stats["compiles"] += 1
-            value = event.value if isinstance(event.value, dict) else {}
-            if value.get("optimized"):
-                stats["optimized"] += 1
-            for shape in value.get("lowered", ()):
-                if shape not in stats["lowered"]:
-                    stats["lowered"].append(shape)
-            for shape in value.get("fallbacks", ()):
-                if shape not in stats["fallbacks"]:
-                    stats["fallbacks"].append(shape)
-        for stats in out.values():
-            stats["lowered"].sort()
-            stats["fallbacks"].sort()
+        for unit, kinds in self.summary().items():
+            payloads = kinds.get(EventKind.COMPILE)
+            if payloads:
+                out[unit] = {
+                    "compiles": len(payloads),
+                    "optimized": sum(1 for p in payloads if p["optimized"]),
+                    "lowered": sorted({s for p in payloads for s in p["lowered"]}),
+                    "fallbacks": sorted({s for p in payloads for s in p["fallbacks"]}),
+                }
         return out
 
     def transcript(self, limit: int | None = None) -> str:

@@ -129,14 +129,10 @@ class _AsyncSession(_SessionRules):
 
     # -- worker/session protocol -----------------------------------------------
 
-    def kill(self) -> None:
-        """Abrupt teardown (chaos / scheduler shutdown): close the
-        transport now.  Loop-thread only — cross-thread callers go
-        through the server's ``call_soon_threadsafe``."""
-        self._killed = True
-        self._wake()
-        if self.coexpr is not None:
-            self.coexpr.close()
+    def _abort(self) -> None:
+        """:meth:`kill`'s cut: abort the transport now.  Loop-thread
+        only — cross-thread callers go through the server's
+        ``call_soon_threadsafe``."""
         try:
             self.writer.transport.abort()
         except Exception:  # noqa: BLE001 - transport already gone

@@ -250,8 +250,8 @@ class ServerPool:
     order ends at the replica list, so a suspect is still dialed before
     any thread fallback), a healthy stream clears it, and a reconnect
     that lands on a different replica than the lost session is a
-    **failover**, emitted on the monitor bus and counted in
-    :meth:`stats` / :meth:`~repro.monitor.Tracer.cluster_stats`.
+    **failover**, counted in :meth:`stats` and emitted on the monitor
+    bus (:meth:`~repro.monitor.Tracer.summary` lists the payloads).
 
     ``fault_plan`` (a :class:`~repro.coexpr.supervision.FaultPlan`)
     arms deterministic chaos: ``drop_connection`` / ``kill_server`` /
@@ -697,8 +697,8 @@ class ServerPool:
         """A DataParallel chunk stranded on a dead/shed replica is being
         re-run (*fallback* = on the thread tier, the end of the
         degradation order).  *address* is the replica the chunk was
-        stranded on, when the caller knows it — it feeds the per-address
-        breakdown in ``Tracer.cluster_stats()``."""
+        stranded on, when the caller knows it; the ``STEAL`` payload
+        names it."""
         with self._lock:
             self._steals += 1
         self._emit(

@@ -136,7 +136,8 @@ class _SessionRules:
     drivers over it: each supplies its locking (``_guard``), the I/O
     primitives the flows await — the sender's time slice (``_yield``)
     among them — its credit wakeup (``_wake``: a condition notify or an
-    event set) and ``kill``, which the dispatch calls.
+    event set) and the abrupt half of :meth:`kill` (``_abort``: a socket
+    shutdown or a transport abort).
     """
 
     #: Seconds of activations the sender runs between ``_yield`` calls
@@ -582,6 +583,23 @@ class _SessionRules:
 
     # -- teardown --------------------------------------------------------------
 
+    def kill(self) -> None:
+        """Abrupt teardown: stop the body and cut the connection now
+        (idempotent).
+
+        The chaos path — the client sees a torn connection, its
+        watchdog raises :class:`~repro.errors.PipeConnectionLost`, and
+        supervision (if any) reconnects.  Also what scheduler shutdown,
+        the graceful path's straggler sweep and the reader's protocol
+        checks use.
+        """
+        with self._guard:
+            self._killed = True
+            self._wake()
+            self._abort()
+        if self.coexpr is not None:
+            self.coexpr.close()
+
     def finish(self) -> None:
         """Graceful teardown: stop producing, flush, close the stream.
 
@@ -668,13 +686,8 @@ class Session(_SessionRules):
             handle.join(budget)
         return not self.is_alive()
 
-    def kill(self) -> None:
-        """Abrupt teardown: shut the socket down now (idempotent).
-
-        The chaos path — the client sees a torn connection, its
-        watchdog raises :class:`~repro.errors.PipeConnectionLost`, and
-        supervision (if any) reconnects.  Also what scheduler shutdown
-        and the graceful path's straggler sweep use.
+    def _abort(self) -> None:
+        """:meth:`kill`'s cut, under ``_cond``: shut the socket down.
 
         A shutdown, not a close: it wakes whichever thread is blocked on
         the socket but keeps the descriptor allocated.  Closing it here
@@ -684,16 +697,11 @@ class Session(_SessionRules):
         connection.  :meth:`_teardown` closes the socket once both
         threads are done with it.
         """
-        with self._cond:
-            self._killed = True
-            self._wake()
-            if not self._torn:
-                try:
-                    self.framer.sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # never connected, or the peer already reset it
-        if self.coexpr is not None:
-            self.coexpr.close()
+        if not self._torn:
+            try:
+                self.framer.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never connected, or the peer already reset it
 
     def _wake(self) -> None:
         self._cond.notify_all()

@@ -3,7 +3,7 @@
 The contract under test is the backend matrix's: a pipe whose producer
 is a coroutine on the shared event loop must be observationally
 identical to one whose producer is a thread — production order, data
-before error, close terminates, batching counters, refresh-as-snapshot,
+before error, close terminates, batch flushes, refresh-as-snapshot,
 cancellation, and scheduler accounting (the autouse leak fixture covers
 pending tasks the way it covers threads and sockets).
 """
@@ -35,6 +35,23 @@ from repro.runtime.failure import FAIL
 def run(coro):
     """Run one test coroutine on a fresh loop (no pytest-asyncio dep)."""
     return asyncio.run(coro)
+
+
+def flush_sizes(tracer, piped):
+    """The size of each flush *piped* reported, in order."""
+    node = tracer.summary().get(f"pipe:{piped.coexpr.name}", {})
+    return [flush["size"] for flush in node.get(EventKind.BATCH, ())]
+
+
+def loop_workers(tracer):
+    """Every pipe body started on an event loop (an ASYNC_SESSION
+    without a ``peer``: that one is an event-loop server's session)."""
+    return [
+        payload
+        for kinds in tracer.summary().values()
+        for payload in kinds.get(EventKind.ASYNC_SESSION, ())
+        if "peer" not in payload
+    ]
 
 
 class TestAsyncChannel:
@@ -256,12 +273,13 @@ class TestAsyncBackend:
         assert list(piped.iterate()) == list(range(100))
 
     def test_batching_counters_match_the_thread_tier(self):
-        piped = Pipe(
-            lambda: counter(20), backend="async", batch=5, capacity=20
-        ).start()
-        assert list(piped.iterate()) == list(range(20))
-        assert piped._flushes == 4
-        assert piped._batched_items == 20
+        tracer = Tracer()
+        with tracer.lifecycle():
+            piped = Pipe(
+                lambda: counter(20), backend="async", batch=5, capacity=20
+            ).start()
+            assert list(piped.iterate()) == list(range(20))
+        assert flush_sizes(tracer, piped) == [5, 5, 5, 5]
 
     def test_error_never_overtakes_data(self):
         piped = Pipe(crashing, backend="async").start()
@@ -285,9 +303,7 @@ class TestAsyncBackend:
             assert list(piped.iterate()) == [0, 1, 2]
         kinds = [e.kind for e in tracer.events]
         assert EventKind.ASYNC_SESSION in kinds
-        stats = tracer.async_stats()
-        workers = sum(s["workers"] for s in stats.values())
-        assert workers == 1
+        assert len(loop_workers(tracer)) == 1
 
     def test_supervision_replays_an_async_worker(self):
         plan = {"calls": 0}
@@ -326,8 +342,7 @@ class TestAsyncBackend:
         degraded = [e for e in tracer.events if e.kind == EventKind.DEGRADED]
         assert degraded
         # The source itself did go async: exactly one loop session.
-        stats = tracer.async_stats()
-        assert sum(s["workers"] for s in stats.values()) == 1
+        assert len(loop_workers(tracer)) == 1
 
     def test_dataparallel_on_the_loop(self):
         dp = DataParallel(chunk_size=10, backend="async")
@@ -365,19 +380,22 @@ class TestAsyncBackend:
             time.sleep(0.25)  # the gap that makes [1, 2] stale
             yield from range(3, 21)
 
-        piped = Pipe(
-            trickle,
-            backend="async",
-            batch=10,
-            capacity=20,
-            max_linger=0.05,
-        ).start()
-        assert list(piped.iterate()) == list(range(1, 21))
+        tracer = Tracer()
+        with tracer.lifecycle():
+            piped = Pipe(
+                trickle,
+                backend="async",
+                batch=10,
+                capacity=20,
+                max_linger=0.05,
+            ).start()
+            assert list(piped.iterate()) == list(range(1, 21))
         # Three flushes: the stale partial [1, 2, 3], one full batch,
         # and the exhaustion flush — a pure size-10 batcher would have
         # done two.
-        assert piped._flushes == 3
-        assert piped._batched_items == 20
+        sizes = flush_sizes(tracer, piped)
+        assert len(sizes) == 3
+        assert sum(sizes) == 20
 
     def test_refresh_replays_from_snapshot(self):
         piped = Pipe(lambda: counter(5), backend="async").start()
@@ -426,8 +444,18 @@ async def error_after_data(make):
 
 
 async def batches_unbatch(make):
-    piped = make(lambda: counter(10), batch=4, capacity=8)
-    return await drain(piped), piped.batch_stats
+    tracer = Tracer()
+    with tracer.lifecycle():
+        piped = make(lambda: counter(10), batch=4, capacity=8)
+        return await drain(piped), flush_sizes(tracer, piped)
+
+
+async def loop_session(make):
+    # Both loop consumers announce the body the same way, once.
+    tracer = Tracer()
+    with tracer.lifecycle():
+        await drain(make(lambda: counter(3)))
+    return loop_workers(tracer)
 
 
 async def cancel_reaches_upstream(make):
@@ -477,16 +505,23 @@ async def deadline_while_buffered(make):
     return first, None, piped.cancelled
 
 
+class ByConsumer(dict):
+    """An expectation that differs by consumer."""
+
+
+LOOP_SESSION = [{"transport": "loop", "name": "<lambda>"}]
+
 PARITY = [
     (values_and_exhaustion, ([0, 1, 2, 3, 4, 5], FAIL)),
     (error_after_data, [1, 2, "ValueError"]),
-    (
-        batches_unbatch,
-        (list(range(10)), {"flushes": 3, "items": 10, "mean_batch": 10 / 3}),
-    ),
+    (batches_unbatch, (list(range(10)), [4, 4, 2])),
     (cancel_reaches_upstream, (0, True, True)),
     (producer_deadline, [1, 2, "producer"]),
     (deadline_while_buffered, (0, "take", True)),
+    (
+        loop_session,
+        ByConsumer({"thread": [], "async": LOOP_SESSION, "AsyncPipe": LOOP_SESSION}),
+    ),
 ]
 
 
@@ -495,4 +530,6 @@ PARITY = [
     "case, expected", PARITY, ids=[case.__name__ for case, _ in PARITY]
 )
 def test_consumers_agree(case, expected, consumer):
+    if isinstance(expected, ByConsumer):
+        expected = expected[consumer]
     assert run(case(CONSUMERS[consumer])) == expected

@@ -182,9 +182,12 @@ def test_flush_on_exhaustion_strands_nothing(batch):
 
 
 def test_batch_of_one_is_the_unbatched_path():
-    piped = Pipe(lambda: iter(range(5)), batch=1)
-    assert list(piped) == list(range(5))
-    assert piped.batch_stats == {"flushes": 0, "items": 0, "mean_batch": 0.0}
+    tracer = Tracer()
+    with tracer.lifecycle():
+        piped = Pipe(lambda: iter(range(5)), batch=1)
+        assert list(piped) == list(range(5))
+    # No coalescing happens, so no flush is reported.
+    assert tracer.counts()[EventKind.BATCH] == 0
 
 
 def test_batch_must_be_positive():
@@ -366,21 +369,19 @@ def test_batch_events_and_tracer_stats():
     assert all(1 <= s <= 16 for s in sizes)
     assert all("queued" in e.value for e in batch_events)
 
-    stats = tracer.batch_stats()
-    (node_stats,) = stats.values()
-    assert node_stats["items"] == 100
-    assert node_stats["flushes"] == len(sizes)
-    assert node_stats["mean_batch"] == pytest.approx(100 / len(sizes))
-    assert node_stats["mean_occupancy"] >= 0.0
+    flushes = tracer.summary()[f"pipe:{piped.coexpr.name}"][EventKind.BATCH]
+    assert [flush["size"] for flush in flushes] == sizes
+    assert all(flush["queued"] >= 0 for flush in flushes)
 
     counts = tracer.counts()
     assert counts[EventKind.BATCH] == len(sizes)
 
 
 def test_pipe_batch_stats_counters():
-    piped = Pipe(lambda: iter(range(10)), batch=4)
-    assert list(piped) == list(range(10))
-    stats = piped.batch_stats
-    assert stats["items"] == 10
-    assert stats["flushes"] == 3  # 4 + 4 + 2 (flush-on-exhaustion)
-    assert stats["mean_batch"] == pytest.approx(10 / 3)
+    tracer = Tracer()
+    with tracer.lifecycle():
+        piped = Pipe(lambda: iter(range(10)), batch=4)
+        assert list(piped) == list(range(10))
+    flushes = tracer.summary()[f"pipe:{piped.coexpr.name}"][EventKind.BATCH]
+    # 4 + 4 + 2 (flush-on-exhaustion)
+    assert [flush["size"] for flush in flushes] == [4, 4, 2]

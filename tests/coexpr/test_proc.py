@@ -567,15 +567,18 @@ class TestMonitoring:
             upstream = source_pipe(range(2))
             degraded = stage(lambda x: x, upstream, backend="process").start()
             list(degraded.iterate())
-        stats = tracer.process_stats()
-        victim = stats["pipe:victim"]
-        assert victim["spawns"] == 1
-        assert victim["losses"] == 1
-        assert victim["exitcodes"] == [KILLED_EXIT]
-        degraded_rows = [
-            row for row in stats.values() if row["degraded"]
+        summary = tracer.summary()
+        victim = summary["pipe:victim"]
+        assert len(victim[EventKind.SPAWN]) == 1
+        assert [lost["exitcode"] for lost in victim[EventKind.WORKER_LOST]] == [
+            KILLED_EXIT
         ]
-        assert degraded_rows and degraded_rows[0]["reasons"]
+        reasons = [
+            reason
+            for kinds in summary.values()
+            for reason in kinds.get(EventKind.DEGRADED, ())
+        ]
+        assert reasons and reasons[0]
 
 
 class TestSchedulerProcessAccounting:

@@ -277,3 +277,44 @@ def test_compile_event_records_whole_method_fallback():
     assert stats["once"]["compiles"] == 1
     assert stats["once"]["optimized"] == 0
     assert stats["once"]["fallbacks"], "fallback reasons should be recorded"
+
+
+def test_compile_stats_pinned():
+    """The per-unit summary for a fixed program, field for field: a
+    unit compiled twice merges its shapes, sorted and without repeats."""
+    from repro.monitor.tracer import Tracer
+
+    tracer = Tracer()
+    with tracer.lifecycle():
+        transform_program(
+            """
+            def fast() { suspend 1 to 3; }
+            def scanning(s) { s ? suspend tab(upto(&letters)) \\ 1; }
+            def once() {
+                initial setup := 1;
+                return setup;
+            }
+            def fast() { suspend 1 to 4; }
+            """,
+            optimize=True,
+        )
+    assert tracer.compile_stats() == {
+        "fast": {
+            "compiles": 2,
+            "optimized": 2,
+            "lowered": ["block", "suspend", "to-by"],
+            "fallbacks": [],
+        },
+        "scanning": {
+            "compiles": 1,
+            "optimized": 1,
+            "lowered": ["block"],
+            "fallbacks": ["Scan"],
+        },
+        "once": {
+            "compiles": 1,
+            "optimized": 0,
+            "lowered": [],
+            "fallbacks": ["initial-clause"],
+        },
+    }

@@ -4,7 +4,14 @@ import pytest
 
 from repro.runtime.combinators import IconProduct
 from repro.runtime.iterator import IconGenerator, IconValue
-from repro.monitor import Event, EventKind, TracedIterator, Tracer, trace
+from repro.monitor import (
+    Event,
+    EventKind,
+    TracedIterator,
+    Tracer,
+    emit_lifecycle,
+    trace,
+)
 
 
 def gen(*values):
@@ -95,9 +102,9 @@ class TestAnalysis:
     def test_per_node_hotspots(self):
         node, tracer = trace(IconProduct(gen(1, 2, 3), gen(0)))
         list(node)
-        per_node = tracer.per_node()
-        assert per_node["IconGenerator"]["produce"] == 3 + 3
-        assert per_node["IconProduct"]["produce"] == 3
+        summary = tracer.summary()
+        assert len(summary["IconGenerator"]["produce"]) == 3 + 3
+        assert len(summary["IconProduct"]["produce"]) == 3
 
     def test_transcript_readable(self):
         node, tracer = trace(gen("x"))
@@ -115,6 +122,51 @@ class TestAnalysis:
         list(node)
         tracer.clear()
         assert tracer.events == []
+
+
+class TestSummary:
+    def test_groups_by_node_then_kind(self):
+        tracer = Tracer()
+        tracer.emit(Event(EventKind.SPAWN, "pipe:a", 0, {"pid": 1}))
+        tracer.emit(Event(EventKind.SHED, "server:s", 0, {"active": 2}))
+        tracer.emit(Event(EventKind.WORKER_LOST, "pipe:a", 0, {"exitcode": 9}))
+        assert tracer.summary() == {
+            "pipe:a": {
+                EventKind.SPAWN: [{"pid": 1}],
+                EventKind.WORKER_LOST: [{"exitcode": 9}],
+            },
+            "server:s": {EventKind.SHED: [{"active": 2}]},
+        }
+
+    def test_payloads_in_emission_order(self):
+        tracer = Tracer()
+        for size in (3, 1, 2):
+            tracer.emit(Event(EventKind.BATCH, "pipe:p", 0, {"size": size}))
+        flushes = tracer.summary()["pipe:p"][EventKind.BATCH]
+        assert [flush["size"] for flush in flushes] == [3, 1, 2]
+
+    def test_trimmed_events_are_not_counted(self):
+        tracer = Tracer(max_events=4)
+        for attempt in range(5):
+            retry = Event(EventKind.RETRY, "supervise:s", 0, {"attempt": attempt})
+            tracer.emit(retry)
+        # The fifth event overflowed the buffer, which kept its newer half.
+        retries = tracer.summary()["supervise:s"][EventKind.RETRY]
+        assert [retry["attempt"] for retry in retries] == [2, 3, 4]
+        assert len(retries) == tracer.counts()[EventKind.RETRY]
+
+    def test_iteration_and_lifecycle_side_by_side(self):
+        node, tracer = trace(gen(7))
+        with tracer.lifecycle():
+            list(node)
+            emit_lifecycle(Event(EventKind.START, "pipe:p", 0))
+        summary = tracer.summary()
+        assert summary["IconGenerator"] == {
+            "enter": [None],
+            "produce": [7],
+            "fail": [None],
+        }
+        assert summary["pipe:p"] == {EventKind.START: [None]}
 
 
 class TestLiveSinkAndBounds:

@@ -252,8 +252,8 @@ class TestOverload:
             assert excinfo.value.address == server.address
             assert server.stats["shed"] == 1
             assert server.stats["active"] == 1  # the blocker kept its slot
-            health = tracer.health_stats()[f"server:{server.name}"]
-            assert health["shed"] == 1
+            events = tracer.summary()[f"server:{server.name}"]
+            assert len(events[EventKind.SHED]) == 1
             blocker.cancel(join=True, timeout=5.0)
 
     def test_greedy_quota_serves_unbounded_clients(self):
@@ -366,8 +366,8 @@ class TestMonitorEvents:
         assert EventKind.NET_CONNECT in kinds
         assert EventKind.NET_SESSION in kinds  # substrate-blind accounting
         assert EventKind.ASYNC_SESSION in kinds  # substrate-aware detail
-        stats = tracer.net_stats()
-        assert stats["pipe:counter"]["sessions"] == 1
+        events = tracer.summary()["pipe:counter"]
+        assert len(events[EventKind.NET_SESSION]) == 1
 
 
 class TestTimeSlice:

@@ -29,7 +29,7 @@ from repro.coexpr.patterns import pipeline, source_pipe
 from repro.coexpr.pipe import Pipe
 from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
 from repro.errors import PipeConnectionLost
-from repro.monitor import Tracer
+from repro.monitor import EventKind, Tracer
 from repro.net import GeneratorServer, HashRing, RemotePipe, ServerPool
 from repro.net.client import breaker_for
 from repro.net.cluster import normalize_remote_address
@@ -287,11 +287,9 @@ class TestFailover:
         assert got == list(range(30))             # exactly-once, in order
         assert piped.failures == 1
         assert pool.stats()["failovers"] == 1
-        stats = tracer.cluster_stats()[f"pool:{pool.name}"]
-        assert stats["failovers"] == 1
-        (transition,) = stats["transitions"]
-        assert transition[0] != transition[1]
-        assert set(transition) <= set(pool.addresses)
+        (failover,) = tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]
+        assert failover["from"] != failover["to"]
+        assert {failover["from"], failover["to"]} <= set(pool.addresses)
 
     def test_killed_server_fails_over_to_next_replica(self, servers):
         pool = ServerPool([srv.address for srv in servers])
@@ -348,8 +346,8 @@ class TestWorkStealing:
             got = list(dp.map_flat(double, data))
         assert got == expected                    # ordered, no dup, no gap
         assert pool.stats()["steals"] == 1
-        stats = tracer.cluster_stats()[f"pool:{pool.name}"]
-        assert stats["stolen_keys"] == ["mapreduce-task-1"]
+        steals = tracer.summary()[f"pool:{pool.name}"][EventKind.STEAL]
+        assert [steal["key"] for steal in steals] == ["mapreduce-task-1"]
 
     def test_steal_budget_exhausts_to_thread_fallback(self, servers):
         # One replica, a connection that drops on every remote attempt:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.coexpr.patterns import source_pipe
 from repro.coexpr.supervision import NO_BACKOFF, supervise
-from repro.monitor import Tracer
+from repro.monitor import EventKind, Tracer
 from repro.net import ServerPool
 
 
@@ -101,10 +101,8 @@ class TestSigkillFailover:
         # Exactly one failover: the lost stream reconnected to a
         # different replica exactly once.
         assert pool.stats()["failovers"] == 1
-        stats = tracer.cluster_stats()[f"pool:{pool.name}"]
-        assert stats["failovers"] == 1
-        (transition,) = stats["transitions"]
-        assert transition[0] != transition[1]
+        (failover,) = tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]
+        assert failover["from"] != failover["to"]
 
 
 class TestStatsInterval:

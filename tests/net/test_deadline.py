@@ -166,14 +166,14 @@ class TestDeadlineMatrix:
             ).start()
             with pytest.raises(PipeDeadlineExceeded):
                 list(piped.iterate())
-        health = tracer.health_stats()
-        expired = {
-            node: stats
-            for node, stats in health.items()
-            if stats["deadline_expired"]
-        }
-        assert expired, f"no DEADLINE_EXPIRED recorded; health={health}"
-        wheres = {w for stats in expired.values() for w in stats["wheres"]}
+        summary = tracer.summary()
+        expired = [
+            payload
+            for kinds in summary.values()
+            for payload in kinds.get(EventKind.DEADLINE_EXPIRED, ())
+        ]
+        assert expired, f"no DEADLINE_EXPIRED recorded; summary={summary}"
+        wheres = {payload["where"] for payload in expired}
         assert wheres & {"take", "producer", "session", "start"}
         if backend in ("process", "remote"):
             # The budget visibly crossed the boundary as remaining time.

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.coexpr.patterns import source_pipe
 from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
-from repro.monitor import Tracer
+from repro.monitor import EventKind, Tracer
 from repro.net import (
     FileRegistry,
     GeneratorServer,
@@ -291,10 +291,12 @@ class TestMembershipSources:
                 assert pool.weight_of(c) == 2.0
             finally:
                 pool.close()
-        stats = tracer.membership_stats()[f"pool:{pool.name}"]
-        assert c in stats["joined"]
-        assert b in stats["left"]
-        assert stats["sources"] == ["registry"]
+        events = tracer.summary()[f"pool:{pool.name}"]
+        joins = events[EventKind.MEMBER_JOIN]
+        leaves = events[EventKind.MEMBER_LEAVE]
+        assert c in [join["address"] for join in joins]
+        assert b in [leave["address"] for leave in leaves]
+        assert {p["source"] for p in joins + leaves} == {"registry"}
 
     def test_source_string_spellings(self, tmp_path):
         registry = membership_source(f"registry:{tmp_path / 'f.json'}")
@@ -442,9 +444,10 @@ class TestHealthProbing:
             finally:
                 pool.close()
                 server.shutdown()
-        stats = tracer.membership_stats()[f"pool:{pool.name}"]
-        assert stats["downs"] >= 1 and address in stats["went_down"]
-        assert stats["ups"] >= 1 and address in stats["came_up"]
+        events = tracer.summary()[f"pool:{pool.name}"]
+        downs, ups = events[EventKind.MEMBER_DOWN], events[EventKind.MEMBER_UP]
+        assert address in [down["address"] for down in downs]
+        assert address in [up["address"] for up in ups]
 
     def test_down_member_routes_last_up_members_first(self):
         a, b = ("127.0.0.1", 1), ("127.0.0.1", 2)

@@ -7,7 +7,7 @@ three ``junicon-serve`` subprocesses behind a gossip-backed
 mid-flight, and a *fresh* replica started with ``--peer <survivor>`` so
 gossip — not the client — introduces it to the pool.  The stream must
 deliver the identical sequence exactly once with no client restart,
-and ``Tracer.membership_stats()`` must show both the death (a probed
+and ``Tracer.summary()`` must show both the death (a probed
 ``MEMBER_DOWN``) and the replacement (a gossiped ``MEMBER_JOIN``).
 
 The deterministic in-process analogue — sustained churn at exact
@@ -29,7 +29,7 @@ import pytest
 
 from repro.coexpr.patterns import source_pipe
 from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
-from repro.monitor import Tracer
+from repro.monitor import EventKind, Tracer
 from repro.net import GeneratorServer, GossipMembers, ServerPool
 
 
@@ -130,10 +130,13 @@ class TestChurnAcceptance:
             assert piped.failures >= 1
             assert pool.stats()["failovers"] >= 1
 
-            stats = tracer.membership_stats()[f"pool:{pool.name}"]
-            assert tuple(fresh_address) in stats["joined"]
-            assert "gossip" in stats["sources"]
-            assert tuple(victim_address) in stats["went_down"]
+            events = tracer.summary()[f"pool:{pool.name}"]
+            joins = events[EventKind.MEMBER_JOIN]
+            assert tuple(fresh_address) in [join["address"] for join in joins]
+            leaves = events.get(EventKind.MEMBER_LEAVE, [])
+            assert "gossip" in {p["source"] for p in joins + leaves}
+            downs = events[EventKind.MEMBER_DOWN]
+            assert tuple(victim_address) in [down["address"] for down in downs]
         finally:
             if pool is not None:
                 pool.close()

@@ -88,8 +88,8 @@ class TestLoadShedding:
             assert excinfo.value.address == server.address
             assert server.stats["shed"] == 1
             assert server.stats["active"] == 1  # the blocker kept its slot
-            health = tracer.health_stats()[f"server:{server.name}"]
-            assert health["shed"] == 1
+            events = tracer.summary()[f"server:{server.name}"]
+            assert len(events[EventKind.SHED]) == 1
             blocker.cancel(join=True, timeout=5.0)
 
     def test_capacity_freed_admits_the_next_dial(self):

@@ -3,7 +3,7 @@
 The acceptance scenario lives here: a three-stage remote pipeline under
 supervision survives a mid-stream server-side session kill by
 reconnecting and replaying — yielding exactly the sequence the thread
-backend yields — with the loss visible in ``Tracer.net_stats()`` and no
+backend yields — with the loss visible in ``Tracer.summary()`` and no
 leaked workers or sessions afterwards.
 """
 
@@ -444,11 +444,12 @@ class TestSupervisedRecovery:
         assert received == expected
         assert piped.failures >= 1
 
-        stats = tracer.net_stats()["pipe:pipeline[3]"]
-        assert stats["connects"] >= 2      # original dial + reconnect
-        assert stats["sessions"] >= 2      # both server-side sessions
-        assert stats["losses"] >= 1
-        assert all(server.address == a for a in stats["addresses"])
+        events = tracer.summary()["pipe:pipeline[3]"]
+        connects = events[EventKind.NET_CONNECT]
+        assert len(connects) >= 2                      # dial + reconnect
+        assert len(events[EventKind.NET_SESSION]) >= 2  # both sessions
+        assert len(events[EventKind.NET_LOST]) >= 1
+        assert all(p["address"] == server.address for p in connects)
 
         # Nothing survives: no worker threads, no sessions, no sockets.
         server.shutdown(wait=True)

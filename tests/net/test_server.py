@@ -337,15 +337,16 @@ class TestMonitorEvents:
         kinds = [e.kind for e in tracer.events]
         assert EventKind.NET_CONNECT in kinds
         assert EventKind.NET_SESSION in kinds
-        stats = tracer.net_stats()
+        summary = tracer.summary()
         # The client node carries the dialed address; the server node is
         # the bare factory name.
         host, port = server.address
-        client = stats[f"pipe:counter@{host}:{port}"]
-        assert client["connects"] == 1
-        assert client["losses"] == 0
-        assert client["addresses"] == [server.address]
-        assert stats["pipe:counter"]["sessions"] == 1
+        client = summary[f"pipe:counter@{host}:{port}"]
+        assert [p["address"] for p in client[EventKind.NET_CONNECT]] == [
+            server.address
+        ]
+        assert EventKind.NET_LOST not in client
+        assert len(summary["pipe:counter"][EventKind.NET_SESSION]) == 1
 
 
 class TestCli:
