@@ -31,6 +31,7 @@ import pytest
 
 from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
+from repro.monitor import EventKind, Tracer
 from repro.net import GeneratorServer, ServerPool
 from repro.net.client import reset_breakers
 
@@ -117,13 +118,15 @@ def run_failover(addresses, key, h):
     reset_breakers()
     pool = ServerPool(addresses)
     piped = _supervised(pool, key, h)
-    start = time.perf_counter()
-    it = piped.iterate()
-    first = next(it)
-    latency = time.perf_counter() - start
-    rest = list(it)
+    tracer = Tracer()
+    with tracer.lifecycle():
+        start = time.perf_counter()
+        it = piped.iterate()
+        first = next(it)
+        latency = time.perf_counter() - start
+        rest = list(it)
     assert [first] + rest == list(range(STREAM))
-    assert pool.stats()["failovers"] == 1
+    assert len(tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]) == 1
     return latency
 
 
@@ -154,11 +157,13 @@ def run_replay(h):
         (victim,) = [s for s in (one, two) if s.address == victim_address]
         plan.kill_server(REPLAY_KEY, victim, on_attempts=(1,), after_items=10)
         piped = _supervised(pool, REPLAY_KEY, h)
-        got = list(piped.iterate())
+        tracer = Tracer()
+        with tracer.lifecycle():
+            got = list(piped.iterate())
         # Delivered-prefix preservation: the full sequence, in order,
         # no duplicates from the replay and no gap at the kill point.
         assert got == list(range(STREAM))
-        assert pool.stats()["failovers"] == 1
+        assert len(tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]) == 1
         return piped.delivered
 
 

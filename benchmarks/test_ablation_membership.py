@@ -34,6 +34,7 @@ import pytest
 from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
+from repro.monitor import EventKind, Tracer
 from repro.net import GeneratorServer, ServerPool
 from repro.net.client import reset_breakers
 
@@ -165,8 +166,8 @@ def _key_owned_by(addresses, owner):
 
 def run_failover(addresses, key, mode):
     """One silent-death failover; returns the time-to-first-item."""
-    # Fresh breaker + pool + shared-health state per round: every round
-    # must pay the full detection cost.
+    # Fresh address records (breaker state and down-marks) and a fresh
+    # pool per round: every round must pay the full detection cost.
     reset_breakers()
     pool = ServerPool(addresses)
     churner = _churner_for(pool, mode)
@@ -216,9 +217,11 @@ def run_replay(mode):
         (victim,) = [s for s in (one, two) if s.address == victim_address]
         plan.kill_server(REPLAY_KEY, victim, on_attempts=(1,), after_items=10)
         churner = _churner_for(pool, mode)
+        tracer = Tracer()
         try:
             piped = _supervised(pool, REPLAY_KEY)
-            got = list(piped.iterate())
+            with tracer.lifecycle():
+                got = list(piped.iterate())
         finally:
             if churner is not None:
                 churner.close()
@@ -226,7 +229,7 @@ def run_replay(mode):
         # sequence, in order, no duplicate from the replay and no gap
         # at the kill point.
         assert got == list(range(STREAM))
-        assert pool.stats()["failovers"] >= 1
+        assert len(tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]) >= 1
         return piped.delivered
 
 
@@ -248,16 +251,18 @@ def run_steal(addresses, mode):
     churner = _churner_for(pool, mode)
     data = list(range(40))
     expected = [double(x) for x in data]
+    tracer = Tracer()
     try:
         dp = DataParallel(chunk_size=10, backend="remote", remote_address=pool)
-        start = time.perf_counter()
-        got = list(dp.map_flat(double, data))
-        elapsed = time.perf_counter() - start
+        with tracer.lifecycle():
+            start = time.perf_counter()
+            got = list(dp.map_flat(double, data))
+            elapsed = time.perf_counter() - start
     finally:
         if churner is not None:
             churner.close()
     assert got == expected
-    assert pool.stats()["steals"] >= 1
+    assert len(tracer.summary()[f"pool:{pool.name}"][EventKind.STEAL]) >= 1
     return elapsed
 
 

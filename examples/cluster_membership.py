@@ -99,13 +99,15 @@ def main() -> None:
             ok = received == list(range(TOTAL))
             print(f"\nstream intact: {ok}  "
                   f"({len(received)} items, exactly once, no restart)")
-            stats = pool.stats()
-            print(f"pool stats: failovers={stats['failovers']} "
-                  f"joins={stats['joins']} downs={stats['downs']} "
-                  f"weights={{{', '.join(f'{h}:{p}={w:g}' for (h, p), w in stats['weights'].items())}}}")
             events = tracer.summary().get(f"pool:{pool.name}", {})
             joins = events.get(EventKind.MEMBER_JOIN, [])
             downs = events.get(EventKind.MEMBER_DOWN, [])
+            failovers = events.get(EventKind.FAILOVER, [])
+            weights = ", ".join(f"{h}:{p}={pool.weight_of((h, p)):g}"
+                                for h, p in pool.addresses)
+            print(f"pool events: failovers={len(failovers)} "
+                  f"joins={len(joins)} downs={len(downs)} "
+                  f"weights={{{weights}}}")
             print(f"membership events: joined={[j['address'] for j in joins]} "
                   f"went_down={[d['address'] for d in downs]} "
                   f"sources={sorted({j['source'] for j in joins})}")

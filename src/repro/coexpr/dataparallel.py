@@ -31,6 +31,7 @@ serialization": the pipes only map; the caller reduces serially.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace
 from typing import Any, Callable, Iterator, List
 
@@ -305,38 +306,26 @@ class DataParallel:
         options = self.options
         if backend is not None:
             options = replace(options, backend=backend)
-        # Cancellation propagates to siblings: if the drain stops early —
-        # one task raised, or the consumer abandoned the generator — every
-        # outstanding task pipe is cancelled, so no chunk worker is left
-        # blocked on a bounded full channel.
-        if self.max_pending is None:
-            # The paper's shape: spawn a task per chunk, then drain in order.
-            holders = [
-                [self._spawn(task_body, chunk, extra, options,
-                             name=self._task_name(index, options)), chunk]
-                for index, chunk in enumerate(self.chunk(source))
-            ]
-            done = 0
-            try:
-                for holder in holders:
-                    yield from self._drain(holder, task_body, extra, options)
-                    done += 1
-            finally:
-                for holder in holders[done:]:
-                    holder[0].cancel()
-            return
-        # Bounded-pending variant: a sliding window of live tasks.
-        window: List[List[Any]] = []
+        # A window of live task pipes, drained in order; the paper's
+        # shape (``max_pending=None``) spawns every chunk's task before
+        # the first drain.  A holder leaves the window only once its
+        # drain finishes, so if the drain stops early — one task raised,
+        # or the consumer abandoned the generator — every outstanding
+        # task pipe, the one being drained included, is cancelled and no
+        # chunk worker is left blocked on a bounded full channel.
+        window: deque = deque()
         try:
             for index, chunk in enumerate(self.chunk(source)):
                 window.append(
                     [self._spawn(task_body, chunk, extra, options,
                                  name=self._task_name(index, options)), chunk]
                 )
-                if len(window) >= self.max_pending:
-                    yield from self._drain(window.pop(0), task_body, extra, options)
+                if self.max_pending is not None and len(window) >= self.max_pending:
+                    yield from self._drain(window[0], task_body, extra, options)
+                    window.popleft()
             while window:
-                yield from self._drain(window.pop(0), task_body, extra, options)
+                yield from self._drain(window[0], task_body, extra, options)
+                window.popleft()
         finally:
             for holder in window:
                 holder[0].cancel()

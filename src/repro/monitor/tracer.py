@@ -132,10 +132,11 @@ class Tracer:
     # -- analysis --------------------------------------------------------------
 
     def counts(self) -> dict:
-        """Event totals by kind."""
-        out = {kind: 0 for kind in EventKind.ALL}
+        """Event totals by kind: every kind in ``EventKind.ALL`` (zero
+        when unseen) plus any other kind that was emitted."""
+        out = dict.fromkeys(EventKind.ALL, 0)
         for event in self.events:
-            out[event.kind] += 1
+            out[event.kind] = out.get(event.kind, 0) + 1
         return out
 
     def summary(self) -> dict:

@@ -65,21 +65,16 @@ from .client import (
 )
 from .cluster import HashRing, ServerPool, normalize_remote_address
 from .membership import (
-    AddressHealth,
     FileRegistry,
     GossipMembers,
     HealthProber,
     StaticMembers,
     exchange_peers,
     membership_source,
-    probe_address,
-    reset_shared_health,
-    shared_health,
 )
 from .server import GeneratorServer
 
 __all__ = [
-    "AddressHealth",
     "AsyncGeneratorServer",
     "CircuitBreaker",
     "FileRegistry",
@@ -95,10 +90,7 @@ __all__ = [
     "exchange_peers",
     "membership_source",
     "normalize_remote_address",
-    "probe_address",
     "remote_unsafe_reason",
     "reset_breakers",
-    "reset_shared_health",
-    "shared_health",
     "start_remote_worker",
 ]

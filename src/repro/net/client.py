@@ -33,7 +33,10 @@ consecutive ``WIRE_BUSY`` sheds and connection losses trip it open, and
 while open ``backend="remote"`` degrades to the thread tier *without
 dialing* — a saturated server stops being hammered by reconnect storms.
 After the shed's ``retry_after`` lapses the breaker admits one half-open
-probe; a healthy stream closes it again.
+probe; a healthy stream closes it again.  The breaker is the address's
+one process-wide record: it also holds the address's down-mark (which
+every :class:`~repro.net.cluster.ServerPool` reads as suspicion) and
+the in-flight workers :func:`drain_address` wakes.
 """
 
 from __future__ import annotations
@@ -63,17 +66,27 @@ _BREAKER_COOLDOWN = 0.5
 
 
 class CircuitBreaker:
-    """Per-address overload memory: closed → open → half-open → closed.
+    """One replica address's process-wide record.
 
-    Every remote dial consults the breaker for its target address.
-    While **closed** (healthy) dials pass through; *threshold*
-    consecutive failures — a ``WIRE_BUSY`` shed, a refused or lost
-    connection — trip it **open**, and :meth:`allow` then answers False
-    until the failure's ``retry_after`` (or a default cooldown) lapses.
-    The first dial after that is the **half-open probe**: exactly one
-    caller is admitted while the others keep failing fast; the probe's
-    outcome (a healthy stream vs. another failure) closes or re-opens
-    the breaker.
+    **The breaker** (closed → open → half-open → closed).  Every remote
+    dial consults it.  While **closed** (healthy) dials pass through;
+    *threshold* consecutive failures — a ``WIRE_BUSY`` shed, a refused
+    or lost connection — trip it **open**, and :meth:`allow` then
+    answers False until the failure's ``retry_after`` (or a default
+    cooldown) lapses.  The first dial after that is the **half-open
+    probe**: exactly one caller is admitted while the others keep
+    failing fast; the probe's outcome (a healthy stream vs. another
+    failure) closes or re-opens the breaker.
+
+    **The down-mark** (:meth:`mark_down` / :meth:`mark_up` /
+    :meth:`is_down`).  A lost session, a failed dial or a probe's death
+    verdict marks the address down until a monotonic deadline (a later
+    deadline wins); every pool routes a marked address last, so one
+    pool's discovery demotes the address for all of them.  A mark whose
+    writer vanished decays instead of condemning the address forever.
+
+    **The live workers**: the in-flight :class:`RemoteWorker` sessions
+    on the address, which :func:`drain_address` wakes.
 
     Thread-safe; shared process-wide per address via :func:`breaker_for`.
     """
@@ -89,6 +102,9 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._failures = 0
         self._until = 0.0  # monotonic instant the open hold lapses
+        self._down_until = 0.0  # monotonic instant the down-mark lapses
+        self.down_reason: str | None = None
+        self._live: set = set()  # in-flight RemoteWorkers
 
     def _emit(self, kind: str, value: dict) -> None:
         if lifecycle_enabled():
@@ -156,33 +172,44 @@ class CircuitBreaker:
             if reopened:
                 self._emit(EventKind.BREAKER_CLOSE, {"address": self.address})
 
+    def mark_down(self, reason: str, ttl: float) -> None:
+        """Mark the address down for *ttl* seconds; an existing later
+        deadline is kept (a short re-mark must not cut it short)."""
+        until = time.monotonic() + max(ttl, 0.0)
+        with self._lock:
+            if until > self._down_until:
+                self._down_until = until
+                self.down_reason = reason
+
+    def mark_up(self) -> None:
+        """Clear the down-mark (a pong on a down member, a healthy stream)."""
+        with self._lock:
+            self._down_until = 0.0
+            self.down_reason = None
+
+    def is_down(self) -> bool:
+        return self._down_until > time.monotonic()
+
 
 _breakers: dict = {}
 _breakers_lock = threading.Lock()
 
 
 def breaker_for(address: Any) -> CircuitBreaker:
-    """The process-wide breaker for *address* (created on first use)."""
+    """The process-wide record for *address* (created on first use)."""
     key = tuple(address) if isinstance(address, (list, tuple)) else address
-    with _breakers_lock:
-        breaker = _breakers.get(key)
-        if breaker is None:
-            breaker = _breakers[key] = CircuitBreaker(key)
-        return breaker
+    breaker = _breakers.get(key)
+    if breaker is None:
+        with _breakers_lock:
+            breaker = _breakers.setdefault(key, CircuitBreaker(key))
+    return breaker
 
 
 def reset_breakers() -> None:
-    """Forget every breaker (test isolation between server lifetimes).
-
-    Also clears the membership tier's shared address-health registry:
-    both are process-wide per-address failure memory, and a test that
-    resets one without the other inherits the previous test's corpses.
-    """
+    """Forget every address record — breaker state, down-marks and all
+    (test isolation between server lifetimes)."""
     with _breakers_lock:
         _breakers.clear()
-    from .membership import reset_shared_health
-
-    reset_shared_health()
 
 
 def _pickled_body(pipe: Any) -> bytes | str:
@@ -211,26 +238,6 @@ def remote_unsafe_reason(pipe: Any) -> str | None:
     return body if isinstance(body, str) else None
 
 
-#: In-flight workers indexed by server address, so a membership tier's
-#: death verdict can wake their watchdogs *now* — see :func:`drain_address`.
-_live_lock = threading.Lock()
-_live_workers: dict = {}
-
-
-def _register_live(worker: Any) -> None:
-    with _live_lock:
-        _live_workers.setdefault(worker.address, set()).add(worker)
-
-
-def _unregister_live(worker: Any) -> None:
-    with _live_lock:
-        peers = _live_workers.get(worker.address)
-        if peers is not None:
-            peers.discard(worker)
-            if not peers:
-                _live_workers.pop(worker.address, None)
-
-
 def drain_address(address: Any, reason: str) -> int:
     """Wake every in-flight worker on *address* immediately.
 
@@ -245,8 +252,9 @@ def drain_address(address: Any, reason: str) -> int:
     the bare transport error the forced close produced.  Returns how
     many workers were woken.
     """
-    with _live_lock:
-        workers = list(_live_workers.get(tuple(address), ()))
+    breaker = breaker_for(address)
+    with breaker._lock:
+        workers = list(breaker._live)
     for worker in workers:
         worker.drained = reason
         worker.framer.close()
@@ -267,6 +275,7 @@ class RemoteWorker(StreamPump):
 
     __slots__ = (
         "address",
+        "breaker",
         "pool",
         "route_key",
         "chaos",
@@ -287,6 +296,7 @@ class RemoteWorker(StreamPump):
     ) -> None:
         super().__init__(pipe, scheduler, name, sock)
         self.address = address
+        self.breaker = breaker_for(address)
         #: Cluster routing, when this session was dialed through a
         #: :class:`~repro.net.cluster.ServerPool`: the pool hears about
         #: losses/health (suspicion, failover accounting) keyed by
@@ -331,7 +341,7 @@ class RemoteWorker(StreamPump):
         # stream must not wait for WIRE_CLOSE to close the breaker).
         if not self._healthy:
             super()._served()
-            breaker_for(self.address).record_success()
+            self.breaker.record_success()
             if self.pool is not None:
                 self.pool.note_healthy(self.address)
 
@@ -346,7 +356,7 @@ class RemoteWorker(StreamPump):
     def _loss(self, reason: str) -> tuple:
         reason = self.drained or reason
         retry_after = self._retry_after
-        breaker_for(self.address).record_failure(retry_after)
+        self.breaker.record_failure(retry_after)
         if self.pool is not None:
             self.pool.note_lost(self.route_key, self.address, reason)
         if retry_after is None:
@@ -365,7 +375,8 @@ class RemoteWorker(StreamPump):
         return error, {"reason": reason, "address": self.address}
 
     def _release(self) -> None:
-        _unregister_live(self)
+        with self.breaker._lock:
+            self.breaker._live.discard(self)
         super()._release()
         self.scheduler.untrack_session(self)
 
@@ -424,7 +435,8 @@ def _connect_worker(
             # socket closed and tears the worker down normally.
             worker._mark_lost("injected connection drop")
             worker.terminate()
-    _register_live(worker)
+    with worker.breaker._lock:
+        worker.breaker._live.add(worker)
     try:
         worker.handle = scheduler.submit(worker.pump, name=f"net-{name}")
     except BaseException:

@@ -11,11 +11,12 @@ routing layer with the same surface a single ``(host, port)`` pair has:
   remaps only the keys it owned; every other key stays put).
 * :class:`ServerPool` — the live routing state over a ring: per-address
   *suspicion* (a replica whose session just died or shed is routed
-  around while the window lasts), per-key session memory (which replica
-  served a stream last, and whether that session was lost), and the
-  monitor-event vocabulary of recovery — ``REROUTE`` when placement
-  skips a candidate, ``FAILOVER`` when a lost stream reconnects to a
-  *different* replica, ``STEAL`` when
+  around while its down-mark lasts — the mark lives on the address's
+  process-wide :class:`~repro.net.client.CircuitBreaker`), per-key
+  session memory (which replica served a stream last, and whether that
+  session was lost), and the monitor-event vocabulary of recovery —
+  ``REROUTE`` when placement skips a candidate, ``FAILOVER`` when a
+  lost stream reconnects to a *different* replica, ``STEAL`` when
   :class:`~repro.coexpr.dataparallel.DataParallel` re-runs a chunk that
   was stranded on a dead or shed replica.
 
@@ -49,12 +50,8 @@ import time
 from typing import Any, Iterable, List
 
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
-from .membership import (
-    HealthProber,
-    as_member,
-    membership_source,
-    shared_health,
-)
+from .client import breaker_for, drain_address
+from .membership import HealthProber, as_member, membership_source
 
 __all__ = ["HashRing", "ServerPool", "normalize_remote_address"]
 
@@ -250,8 +247,9 @@ class ServerPool:
     order ends at the replica list, so a suspect is still dialed before
     any thread fallback), a healthy stream clears it, and a reconnect
     that lands on a different replica than the lost session is a
-    **failover**, counted in :meth:`stats` and emitted on the monitor
-    bus (:meth:`~repro.monitor.Tracer.summary` lists the payloads).
+    **failover**, emitted on the monitor bus like every other routing
+    outcome (:meth:`~repro.monitor.Tracer.summary` lists the payloads
+    under ``pool:<name>``; a count is ``len(...)``).
 
     ``fault_plan`` (a :class:`~repro.coexpr.supervision.FaultPlan`)
     arms deterministic chaos: ``drop_connection`` / ``kill_server`` /
@@ -273,10 +271,12 @@ class ServerPool:
     last resort), the next pong drives ``MEMBER_UP``.  Members carry
     **weights** (``(host, port, weight)`` triples): vnode counts scale
     proportionally, so a weight-2 host owns twice the key share.
-    Probe verdicts and dial failures also feed the process-wide
-    :func:`~repro.net.membership.shared_health` registry, so a second
-    pool routing over the same dead replica demotes it without paying
-    the connect-timeout trip.  Call :meth:`close` to stop the
+    Suspicion is the down-mark on the address's process-wide record
+    (:func:`~repro.net.client.breaker_for`): losses, dial failures and
+    probe verdicts write it, so a second pool routing over the same
+    dead replica demotes it without paying the connect-timeout trip.
+    A pong clears the mark only when it reverses a ``MEMBER_DOWN``;
+    a healthy stream always clears it.  Call :meth:`close` to stop the
     background thread (pools without a source or prober never start
     one).
 
@@ -342,16 +342,8 @@ class ServerPool:
         for address, weight in members:
             self._members[address] = weight
             self._ring.add(address, weight=weight)
-        self._suspect: dict[tuple, float] = {}  # address -> monotonic until
         self._last: dict[Any, tuple] = {}       # key -> last connected address
         self._lost: set = set()                 # keys whose last session died
-        self._failovers = 0
-        self._reroutes = 0
-        self._steals = 0
-        self._joins = 0
-        self._leaves = 0
-        self._ups = 0
-        self._downs = 0
         self._prober = (
             HealthProber(timeout=probe_timeout, failures=probe_failures)
             if probe_interval is not None
@@ -412,7 +404,6 @@ class ServerPool:
                 return False
             self._members[address] = weight
             self._ring.add(address, weight=weight)
-            self._joins += 1
         self._emit(
             EventKind.MEMBER_JOIN,
             {"address": address, "weight": weight, "source": source},
@@ -428,9 +419,7 @@ class ServerPool:
                 return False
             del self._members[address]
             self._ring.remove(address)
-            self._suspect.pop(address, None)
             self._down.pop(address, None)
-            self._leaves += 1
         if self._prober is not None:
             self._prober.forget(address)
         self._emit(EventKind.MEMBER_LEAVE, {"address": address, "source": source})
@@ -446,10 +435,7 @@ class ServerPool:
                 return False
             self._down[address] = reason
             self._ring.remove(address)
-            self._downs += 1
-        shared_health().mark_down(
-            address, reason, ttl=self._shared_ttl()
-        )
+        breaker_for(address).mark_down(reason, self._down_ttl())
         self._emit(
             EventKind.MEMBER_DOWN,
             {"address": address, "reason": reason, "misses": misses},
@@ -457,8 +443,6 @@ class ServerPool:
         # Eager drain: every in-flight stream on the dead replica is
         # doomed — wake its watchdog now so failover starts within one
         # poll slice of the verdict, not one full heartbeat timeout.
-        from .client import drain_address
-
         drain_address(address, f"marked down by health probe: {reason}")
         return True
 
@@ -471,14 +455,12 @@ class ServerPool:
                 return False
             del self._down[address]
             self._ring.add(address, weight=self._members[address])
-            self._suspect.pop(address, None)
-            self._ups += 1
-        shared_health().mark_up(address)
+        breaker_for(address).mark_up()
         self._emit(EventKind.MEMBER_UP, {"address": address})
         return True
 
-    def _shared_ttl(self) -> float:
-        """How long a shared down-mark lives without refresh: a probing
+    def _down_ttl(self) -> float:
+        """How long a probe's down-mark lives without refresh: a probing
         pool refreshes every round, so a few intervals outlive jitter;
         a non-probing pool falls back to its suspicion window."""
         if self.probe_interval is not None:
@@ -545,21 +527,15 @@ class ServerPool:
             alive = prober.probe(address)
             misses = prober.record(address, alive)
             if alive:
+                # Clears the down-mark only for a member that was down:
+                # a pong does not outvote a loss another pool just saw.
                 self.mark_up(address)
-                shared_health().mark_up(address)
             elif misses >= prober.failures:
-                if not self.mark_down(
-                    address,
-                    reason=f"no pong after {misses} probes",
-                    misses=misses,
-                ):
-                    # Already down: refresh the shared mark so it
-                    # outlives its TTL while the corpse stays dead.
-                    shared_health().mark_down(
-                        address,
-                        f"no pong after {misses} probes",
-                        ttl=self._shared_ttl(),
-                    )
+                reason = f"no pong after {misses} probes"
+                if not self.mark_down(address, reason, misses=misses):
+                    # Already down: refresh the mark so it outlives its
+                    # TTL while the corpse stays dead.
+                    breaker_for(address).mark_down(reason, self._down_ttl())
 
     def close(self) -> None:
         """Stop the membership thread and probe connections
@@ -592,32 +568,20 @@ class ServerPool:
         Every fleet member appears — suspicion and even a MEMBER_DOWN
         verdict re-order, they never exclude: if the whole fleet is
         down the dial still tries each one (fast refusals) before the
-        caller degrades to threads.  Suspicion here is the *union* of
-        this pool's window and the process-wide shared health registry,
-        so another pool's dead-replica discovery demotes the address
-        before this pool ever pays the trip.
+        caller degrades to threads.  Suspicion is the address's
+        process-wide down-mark, so another pool's dead-replica discovery
+        demotes the address before this pool ever pays the trip.
         """
-        now = time.monotonic()
-        health = shared_health()
         with self._lock:
             preference = self._ring.preference(key)
             down = [address for address in self._members if address in self._down]
-            suspect = {
-                address
-                for address, until in self._suspect.items()
-                if until > now
-            }
-        suspect.update(
-            address for address in preference
-            if address not in suspect and health.is_down(address)
-        )
+        suspect = [address for address in preference if self.suspected(address)]
         live = [address for address in preference if address not in suspect]
-        tail = [address for address in preference if address in suspect]
-        return live + tail + down
+        return live + suspect + down
 
     def suspected(self, address: Any) -> bool:
-        with self._lock:
-            return self._suspect.get(address, 0.0) > time.monotonic()
+        """Is *address* marked down — by this pool or any other?"""
+        return breaker_for(address).is_down()
 
     def last_address(self, key: Any) -> tuple | None:
         """The replica the last successful dial for *key* landed on
@@ -635,28 +599,18 @@ class ServerPool:
     def note_lost(self, key: Any, address: Any, reason: str) -> None:
         """A session for *key* on *address* died or was shed."""
         with self._lock:
-            self._suspect[address] = time.monotonic() + self.suspicion
             self._lost.add(key)
-        shared_health().mark_down(address, reason, ttl=self.suspicion)
+        breaker_for(address).mark_down(reason, self.suspicion)
 
     def note_dial_failure(self, key: Any, address: Any, error: BaseException) -> None:
         """A dial for *key* to *address* failed; routing moves on."""
-        with self._lock:
-            self._suspect[address] = time.monotonic() + self.suspicion
-            self._reroutes += 1
-        shared_health().mark_down(
-            address, f"dial failed: {error!r}", ttl=self.suspicion
-        )
-        self._emit(
-            EventKind.REROUTE,
-            {"key": key, "skipped": address, "reason": f"dial failed: {error!r}"},
-        )
+        reason = f"dial failed: {error!r}"
+        breaker_for(address).mark_down(reason, self.suspicion)
+        self.note_skip(key, address, reason)
 
     def note_skip(self, key: Any, address: Any, reason: str) -> None:
         """Routing for *key* passed over *address* without dialing
         (breaker open, suspect window)."""
-        with self._lock:
-            self._reroutes += 1
         self._emit(
             EventKind.REROUTE, {"key": key, "skipped": address, "reason": reason}
         )
@@ -670,8 +624,6 @@ class ServerPool:
             self._last[key] = address
             self._lost.discard(key)
             failover = recovered and previous is not None and previous != address
-            if failover:
-                self._failovers += 1
         if failover:
             self._emit(
                 EventKind.FAILOVER,
@@ -681,9 +633,7 @@ class ServerPool:
     def note_healthy(self, address: Any) -> None:
         """A stream on *address* proved the replica alive — stronger
         evidence than any probe, so it also reverses a MEMBER_DOWN."""
-        with self._lock:
-            self._suspect.pop(address, None)
-        shared_health().mark_up(address)
+        breaker_for(address).mark_up()
         self.mark_up(address)
 
     def note_steal(
@@ -699,8 +649,6 @@ class ServerPool:
         degradation order).  *address* is the replica the chunk was
         stranded on, when the caller knows it; the ``STEAL`` payload
         names it."""
-        with self._lock:
-            self._steals += 1
         self._emit(
             EventKind.STEAL,
             {
@@ -722,33 +670,6 @@ class ServerPool:
         if plan is None:
             return None
         return plan.enter(key)
-
-    # -- observability ---------------------------------------------------------
-
-    def stats(self) -> dict:
-        """``{"addresses", "up", "down", "weights", "suspected",
-        "failovers", "reroutes", "steals", "joins", "leaves", "ups",
-        "downs"}`` — the pool-side recovery + membership counters."""
-        now = time.monotonic()
-        with self._lock:
-            return {
-                "addresses": tuple(self._members),
-                "up": tuple(a for a in self._members if a not in self._down),
-                "down": tuple(self._down),
-                "weights": dict(self._members),
-                "suspected": tuple(
-                    address
-                    for address, until in self._suspect.items()
-                    if until > now
-                ),
-                "failovers": self._failovers,
-                "reroutes": self._reroutes,
-                "steals": self._steals,
-                "joins": self._joins,
-                "leaves": self._leaves,
-                "ups": self._ups,
-                "downs": self._downs,
-            }
 
     def __repr__(self) -> str:
         with self._lock:

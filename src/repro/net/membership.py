@@ -21,13 +21,12 @@ three missing pieces and the pool wires them together:
   pool's live ``add``/``remove``, which feed the ring's minimal-remap
   ``add``/``remove`` — streams in flight never re-route unless their
   keys actually moved.
-* **shared health** — a process-wide :class:`AddressHealth` registry
-  keyed by ``(host, port)``.  Probe verdicts and dial failures are
-  recorded here, so two pools routing over the same dead replica don't
-  each pay the connect-timeout trip: the second pool demotes the
-  address before ever dialing it.  The per-address circuit breaker
-  (:func:`~repro.net.client.breaker_for`) is already process-wide;
-  this extends the same sharing to suspicion-grade memory.
+* **shared health** — probe verdicts and dial failures are written to
+  the address's one process-wide record, its circuit breaker
+  (:func:`~repro.net.client.breaker_for`), as a down-mark with a TTL,
+  so two pools routing over the same dead replica don't each pay the
+  connect-timeout trip: the second pool demotes the address before
+  ever dialing it.
 
 **Trust note.**  Gossip is only as trustworthy as the servers you
 seed: a ``WIRE_PEERS`` reply is an unauthenticated claim, so a hostile
@@ -45,7 +44,6 @@ import json
 import os
 import socket
 import threading
-import time
 from typing import Any, Iterable, List
 
 from ..coexpr.wire import (
@@ -58,7 +56,6 @@ from ..coexpr.wire import (
 )
 
 __all__ = [
-    "AddressHealth",
     "FileRegistry",
     "GossipMembers",
     "HealthProber",
@@ -66,9 +63,6 @@ __all__ = [
     "exchange_peers",
     "membership_source",
     "parse_host_port",
-    "probe_address",
-    "reset_shared_health",
-    "shared_health",
 ]
 
 #: Dial/receive budget for one control exchange (probe or gossip).
@@ -153,77 +147,6 @@ def parse_wire_members(payload: Any) -> List[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Shared health — process-wide failure memory keyed by address.
-# ---------------------------------------------------------------------------
-
-
-class AddressHealth:
-    """Down-address memory shared by every pool in the process.
-
-    Entries expire (``until`` is a monotonic deadline): a mark from a
-    one-off dial failure lives for the marking pool's suspicion window,
-    a prober's mark is refreshed every failed round — so an entry whose
-    owner vanished decays instead of condemning the address forever.
-    ``mark_up`` (a pong, a healthy stream) clears the entry for every
-    pool at once.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._down: dict[tuple, tuple] = {}  # address -> (until, reason)
-
-    def mark_down(self, address: tuple, reason: str, ttl: float) -> None:
-        until = time.monotonic() + max(ttl, 0.0)
-        with self._lock:
-            current = self._down.get(address)
-            if current is None or current[0] < until:
-                self._down[address] = (until, reason)
-
-    def mark_up(self, address: tuple) -> None:
-        with self._lock:
-            self._down.pop(address, None)
-
-    def is_down(self, address: tuple) -> bool:
-        now = time.monotonic()
-        with self._lock:
-            entry = self._down.get(address)
-            if entry is None:
-                return False
-            if entry[0] <= now:
-                del self._down[address]
-                return False
-            return True
-
-    def snapshot(self) -> dict:
-        """``{address: reason}`` for every live entry."""
-        now = time.monotonic()
-        with self._lock:
-            return {
-                address: reason
-                for address, (until, reason) in self._down.items()
-                if until > now
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._down.clear()
-
-
-_shared_health = AddressHealth()
-
-
-def shared_health() -> AddressHealth:
-    """The process-wide :class:`AddressHealth` registry."""
-    return _shared_health
-
-
-def reset_shared_health() -> None:
-    """Forget every shared down-mark (test isolation, like
-    :func:`~repro.net.client.reset_breakers` — which calls this)."""
-    _shared_health.clear()
-
-
-# ---------------------------------------------------------------------------
 # One-shot control exchanges.
 # ---------------------------------------------------------------------------
 
@@ -233,29 +156,6 @@ def _dial_control(address: tuple, timeout: float) -> SocketFramer:
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(timeout)
     return SocketFramer(sock)
-
-
-def probe_address(address: Any, timeout: float = _CONTROL_TIMEOUT) -> bool:
-    """One-shot liveness probe: dial, ``WIRE_PING``, await the pong.
-
-    True for a pong *or* a busy reply (a shedding server is alive);
-    False for refusal, timeout, or a torn/unparseable stream.
-    """
-    address, _ = as_member(address)
-    try:
-        framer = _dial_control(address, timeout)
-    except OSError:
-        return False
-    try:
-        framer.send((WIRE_PING, 0))
-        while True:
-            envelope = framer.recv()
-            if envelope[0] in (WIRE_PONG, WIRE_BUSY):
-                return True
-    except (OSError, EOFError, FrameError, TimeoutError):
-        return False
-    finally:
-        framer.close()
 
 
 def exchange_peers(

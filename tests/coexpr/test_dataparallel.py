@@ -124,6 +124,18 @@ class TestMapFlat:
         assert serial == chunked
 
 
+class TestEarlyClose:
+    @pytest.mark.parametrize("max_pending", [None, 1, 2])
+    def test_close_mid_drain_cancels_every_task(self, pipe_scheduler, max_pending):
+        # capacity=1 keeps each chunk task blocked on its full channel,
+        # so a task left out of the cancel sweep is a live thread.
+        dp = DataParallel(chunk_size=50, max_pending=max_pending, capacity=1)
+        results = dp.map_flat(lambda x: x, range(1000))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        results.close()
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
+
+
 class TestErrorPropagation:
     def test_mapper_error_reaches_caller(self):
         def explode(x):

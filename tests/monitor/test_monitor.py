@@ -99,6 +99,16 @@ class TestAnalysis:
         assert counts["produce"] == 2 + 2 + 2
         assert counts["fail"] >= 3
 
+    def test_counts_take_kinds_outside_the_vocabulary(self):
+        tracer = Tracer()
+        tracer.emit(Event("custom", "n", 0, 1))
+        tracer.emit(Event("custom", "n", 0, 2))
+        counts = tracer.counts()
+        assert counts["custom"] == 2
+        # Every kind of the vocabulary keeps its zero entry.
+        assert all(counts[kind] == 0 for kind in EventKind.ALL)
+        assert len(counts) == len(EventKind.ALL) + 1
+
     def test_per_node_hotspots(self):
         node, tracer = trace(IconProduct(gen(1, 2, 3), gen(0)))
         list(node)

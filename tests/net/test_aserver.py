@@ -43,15 +43,24 @@ from repro.monitor import EventKind, Tracer
 from repro.net import (
     AsyncGeneratorServer,
     GeneratorServer,
+    HealthProber,
     RemotePipe,
     ServerPool,
-    probe_address,
 )
 from repro.runtime.failure import FAIL
 
 
 def counter(n):
     return iter(range(n))
+
+
+def _probe(address):
+    """One ping over a fresh prober connection: True on a pong."""
+    prober = HealthProber()
+    try:
+        return prober.probe(tuple(address))
+    finally:
+        prober.close()
 
 
 def ticker(delay=0.02):
@@ -204,12 +213,12 @@ class TestControlSessions:
     works against either substrate without knowing which it probed."""
 
     def test_probe_address_succeeds(self, server):
-        assert probe_address(server.address)
+        assert _probe(server.address)
 
     def test_probe_does_not_disturb_a_serving_session(self, server):
         pipe = RemotePipe(server.address, "ticker", capacity=2)
         assert pipe.take() == 0
-        assert probe_address(server.address)
+        assert _probe(server.address)
         assert pipe.take() == 1
         pipe.cancel(join=True, timeout=5.0)
 
@@ -479,13 +488,16 @@ class TestEagerDrain:
             it = piped.iterate()
             head = [next(it) for _ in range(5)]
             primary = pool.last_address("source")
-            verdict = time.monotonic()
-            assert pool.mark_down(primary, "probe missed 3 pings")
-            tail = list(it)
-            elapsed = time.monotonic() - verdict
+            tracer = Tracer()
+            with tracer.lifecycle():
+                verdict = time.monotonic()
+                assert pool.mark_down(primary, "probe missed 3 pings")
+                tail = list(it)
+                elapsed = time.monotonic() - verdict
             assert head + tail == list(range(5000))  # exactly-once
             assert piped.failures == 1
-            assert pool.stats()["failovers"] == 1
+            events = tracer.summary()[f"pool:{pool.name}"]
+            assert len(events[EventKind.FAILOVER]) == 1
             assert pool.last_address("source") != primary
             assert elapsed < 2.0, f"failover took {elapsed:.2f}s"
 
@@ -507,7 +519,7 @@ class TestCli:
             assert line.startswith("listening on ")
             host, port = line.removeprefix("listening on ").rsplit(":", 1)
             address = (host, int(port))
-            assert probe_address(address)
+            assert _probe(address)
             pipe = RemotePipe(address, "range", args=(8,))
             assert list(pipe.iterate()) == list(range(8))
             proc.send_signal(signal.SIGTERM)

@@ -196,14 +196,21 @@ class TestServerPool:
     def test_failover_is_lost_then_reconnect_elsewhere(self):
         a, b = ("127.0.0.1", 1), ("127.0.0.1", 2)
         pool = ServerPool([a, b])
-        pool.note_connect("k", a)
-        assert pool.stats()["failovers"] == 0
-        pool.note_lost("k", a, "killed")
-        pool.note_connect("k", a)                 # same replica: a retry,
-        assert pool.stats()["failovers"] == 0     # not a failover
-        pool.note_lost("k", a, "killed")
-        pool.note_connect("k", b)
-        assert pool.stats()["failovers"] == 1
+        tracer = Tracer()
+
+        def failovers():
+            events = tracer.summary().get(f"pool:{pool.name}", {})
+            return len(events.get(EventKind.FAILOVER, []))
+
+        with tracer.lifecycle():
+            pool.note_connect("k", a)
+            assert failovers() == 0
+            pool.note_lost("k", a, "killed")
+            pool.note_connect("k", a)             # same replica: a retry,
+            assert failovers() == 0               # not a failover
+            pool.note_lost("k", a, "killed")
+            pool.note_connect("k", b)
+            assert failovers() == 1
         assert pool.last_address("k") == b
 
     def test_membership_changes(self):
@@ -215,18 +222,6 @@ class TestServerPool:
         pool.remove(a)
         assert pool.addresses == (b,)
         assert pool.primary("anything") == b
-
-    def test_stats_shape(self):
-        pool = ServerPool([("127.0.0.1", 1)])
-        try:
-            stats = pool.stats()
-        finally:
-            pool.close()
-        assert set(stats) == {
-            "addresses", "up", "down", "weights", "suspected",
-            "failovers", "reroutes", "steals",
-            "joins", "leaves", "ups", "downs",
-        }
 
 
 class TestClusterTransparency:
@@ -286,7 +281,6 @@ class TestFailover:
             got = list(piped.iterate())
         assert got == list(range(30))             # exactly-once, in order
         assert piped.failures == 1
-        assert pool.stats()["failovers"] == 1
         (failover,) = tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]
         assert failover["from"] != failover["to"]
         assert {failover["from"], failover["to"]} <= set(pool.addresses)
@@ -306,8 +300,10 @@ class TestFailover:
             backoff=NO_BACKOFF,
             max_retries=3,
         )
-        assert list(piped.iterate()) == list(range(50))
-        assert pool.stats()["failovers"] == 1
+        tracer = Tracer()
+        with tracer.lifecycle():
+            assert list(piped.iterate()) == list(range(50))
+        assert len(tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]) == 1
         assert pool.last_address("source") != victim_address
 
     def test_budget_survives_rerouting(self, servers):
@@ -327,8 +323,10 @@ class TestFailover:
             max_retries=3,
             deadline=30.0,
         )
-        assert list(piped.iterate()) == list(range(20))
-        assert pool.stats()["failovers"] == 1
+        tracer = Tracer()
+        with tracer.lifecycle():
+            assert list(piped.iterate()) == list(range(20))
+        assert len(tracer.summary()[f"pool:{pool.name}"][EventKind.FAILOVER]) == 1
 
 
 class TestWorkStealing:
@@ -345,7 +343,6 @@ class TestWorkStealing:
         with tracer.lifecycle():
             got = list(dp.map_flat(double, data))
         assert got == expected                    # ordered, no dup, no gap
-        assert pool.stats()["steals"] == 1
         steals = tracer.summary()[f"pool:{pool.name}"][EventKind.STEAL]
         assert [steal["key"] for steal in steals] == ["mapreduce-task-1"]
 
@@ -360,8 +357,11 @@ class TestWorkStealing:
         )
         pool = ServerPool([servers[0].address], fault_plan=plan)
         dp = DataParallel(chunk_size=100, backend="remote", remote_address=pool)
-        assert list(dp.map_flat(double, range(10))) == [2 * x for x in range(10)]
-        assert pool.stats()["steals"] == 3        # 2 remote retries + fallback
+        tracer = Tracer()
+        with tracer.lifecycle():
+            assert list(dp.map_flat(double, range(10))) == [2 * x for x in range(10)]
+        steals = tracer.summary()[f"pool:{pool.name}"][EventKind.STEAL]
+        assert len(steals) == 3                   # 2 remote retries + fallback
 
     def test_one_lost_session_is_one_breaker_failure(self, servers):
         # A drop-at-connect reports the loss, then closes the socket; the

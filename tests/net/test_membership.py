@@ -11,8 +11,9 @@ Five layers of coverage:
 * **Sources** — :class:`FileRegistry` mtime watching and torn-write
   tolerance; :class:`GossipMembers` push-pull discovery and its
   additive-only trust posture.
-* **Health** — the shared :class:`AddressHealth` registry (TTL decay,
-  cross-pool demotion) and :class:`HealthProber`-driven
+* **Health** — the per-address down-mark on the process-wide
+  :class:`CircuitBreaker` record (TTL decay, cross-pool demotion, what
+  a pong clears) and :class:`HealthProber`-driven
   ``MEMBER_DOWN``/``MEMBER_UP`` transitions against real servers.
 * **Integration** — deterministic ``churn_membership`` chaos, and a
   mid-stream fleet change that leaves the running stream untouched.
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -32,6 +35,7 @@ from repro.coexpr.patterns import source_pipe
 from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
 from repro.monitor import EventKind, Tracer
 from repro.net import (
+    CircuitBreaker,
     FileRegistry,
     GeneratorServer,
     GossipMembers,
@@ -39,13 +43,12 @@ from repro.net import (
     HealthProber,
     ServerPool,
     StaticMembers,
+    breaker_for,
     exchange_peers,
     membership_source,
-    probe_address,
-    shared_health,
+    reset_breakers,
 )
 from repro.net.membership import (
-    AddressHealth,
     as_member,
     parse_host_port,
     parse_wire_members,
@@ -187,26 +190,57 @@ class TestWeightedRingProperties:
 
 
 class TestAddressHealth:
+    """The down-mark on an address's one process-wide record."""
+
     def test_marks_expire_by_ttl(self):
-        health = AddressHealth()
-        health.mark_down(("10.0.0.1", 1), "dead", ttl=0.05)
-        assert health.is_down(("10.0.0.1", 1))
+        record = breaker_for(("10.0.0.1", 1))
+        record.mark_down("dead", ttl=0.05)
+        assert record.is_down()
         time.sleep(0.08)
-        assert not health.is_down(("10.0.0.1", 1))
+        assert not record.is_down()
 
     def test_later_deadline_wins(self):
-        health = AddressHealth()
-        health.mark_down(("10.0.0.1", 1), "first", ttl=10.0)
-        health.mark_down(("10.0.0.1", 1), "second", ttl=0.01)
+        record = breaker_for(("10.0.0.1", 1))
+        record.mark_down("first", ttl=10.0)
+        record.mark_down("second", ttl=0.01)
         # The shorter re-mark must not cut the existing memory short.
-        assert health.snapshot() == {("10.0.0.1", 1): "first"}
+        assert record.is_down()
+        assert record.down_reason == "first"
+
+    def test_concurrent_marks_keep_the_latest_deadline(self):
+        # Eight threads re-mark one address with different TTLs under a
+        # tiny switch interval: a lost update would let a short mark
+        # overwrite the 8 s one.
+        record = breaker_for(("10.0.0.1", 1))
+
+        def remark(ttl):
+            for _ in range(200):
+                record.mark_down(f"ttl {ttl}", ttl=ttl)
+
+        threads = [
+            threading.Thread(target=remark, args=(ttl,)) for ttl in range(1, 9)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert record.down_reason == "ttl 8"
+        assert record._down_until - time.monotonic() > 7.0
 
     def test_mark_up_clears_for_everyone(self):
-        health = AddressHealth()
-        health.mark_down(("10.0.0.1", 1), "dead", ttl=10.0)
-        health.mark_up(("10.0.0.1", 1))
-        assert not health.is_down(("10.0.0.1", 1))
-        assert health.snapshot() == {}
+        a, b = ("10.0.0.1", 1), ("10.0.0.1", 2)
+        first, second = ServerPool([a, b]), ServerPool([a, b])
+        breaker_for(a).mark_down("dead", ttl=10.0)
+        assert first.suspected(a) and second.suspected(a)
+        breaker_for(a).mark_up()
+        assert not breaker_for(a).is_down()
+        assert not first.suspected(a) and not second.suspected(a)
 
     def test_one_pools_discovery_demotes_for_another(self):
         a, b = ("127.0.0.1", 1), ("127.0.0.1", 2)
@@ -216,10 +250,24 @@ class TestAddressHealth:
         primary = second.primary(key)
         # Only the *first* pool saw the loss...
         first.note_lost("other-stream", primary, "killed")
-        assert not second.suspected(primary)
-        # ...but the second routes around it via the shared registry.
+        # ...but suspicion is one table: the second pool suspects the
+        # address too and routes around it.
+        assert second.suspected(primary)
         assert second.dial_candidates(key)[-1] == primary
-        assert shared_health().is_down(primary)
+        assert breaker_for(primary).is_down()
+
+    def test_reset_breakers_forgets_state_and_marks(self):
+        address = ("10.0.0.1", 1)
+        record = breaker_for(address)
+        for _ in range(record.threshold):
+            record.record_failure()
+        record.mark_down("dead", ttl=10.0)
+        assert record.state == CircuitBreaker.OPEN and record.is_down()
+        reset_breakers()
+        fresh = breaker_for(address)
+        assert fresh is not record
+        assert fresh.state == CircuitBreaker.CLOSED
+        assert not fresh.is_down()
 
 
 class TestMembershipSources:
@@ -356,19 +404,22 @@ class TestGossip:
 
     def test_gossip_is_additive_only(self):
         with GeneratorServer() as seed:
-            pool = ServerPool(
-                membership=GossipMembers([seed.address]),
-                refresh_interval=0.02,
-            )
-            try:
-                ghost = ("127.0.0.1", 9)
-                pool.add(ghost)  # a member the seed knows nothing about
-                time.sleep(0.1)  # several gossip rounds
-                # An unauthenticated fleet claim must never evict.
-                assert ghost in pool.addresses
-                assert pool.stats()["leaves"] == 0
-            finally:
-                pool.close()
+            tracer = Tracer()
+            with tracer.lifecycle():
+                pool = ServerPool(
+                    membership=GossipMembers([seed.address]),
+                    refresh_interval=0.02,
+                )
+                try:
+                    ghost = ("127.0.0.1", 9)
+                    pool.add(ghost)  # a member the seed knows nothing about
+                    time.sleep(0.1)  # several gossip rounds
+                    # An unauthenticated fleet claim must never evict.
+                    assert ghost in pool.addresses
+                finally:
+                    pool.close()
+            events = tracer.summary()[f"pool:{pool.name}"]
+            assert EventKind.MEMBER_LEAVE not in events
 
     def test_announce_introduces_a_replacement(self):
         with GeneratorServer() as seed, GeneratorServer() as fresh:
@@ -379,16 +430,25 @@ class TestGossip:
             assert tuple(fresh.address) in peers
 
 
+def _probe(address, timeout=1.0):
+    """One ping over a fresh prober connection: True on a pong."""
+    prober = HealthProber(timeout=timeout)
+    try:
+        return prober.probe(tuple(address))
+    finally:
+        prober.close()
+
+
 class TestHealthProbing:
     def test_probe_address_against_live_and_dead(self):
         with GeneratorServer() as server:
-            assert probe_address(server.address)
+            assert _probe(server.address)
             address = server.address
-        assert not probe_address(address, timeout=0.5)
+        assert not _probe(address, timeout=0.5)
 
     def test_probe_survives_the_restricted_unpickler(self):
         with GeneratorServer(allow_spawn=False) as server:
-            assert probe_address(server.address)
+            assert _probe(server.address)
 
     def test_probe_does_not_disturb_a_serving_session(self):
         with GeneratorServer() as server:
@@ -397,7 +457,7 @@ class TestHealthProbing:
             ).start()
             it = piped.iterate()
             first = [next(it) for _ in range(5)]
-            assert probe_address(server.address)
+            assert _probe(server.address)
             assert first + list(it) == list(range(50))
 
     def test_prober_counts_consecutive_misses(self):
@@ -434,13 +494,13 @@ class TestHealthProbing:
                 assert _wait_until(lambda: address in pool.down_addresses)
                 assert address in pool.addresses
                 assert pool.dial_candidates("k") == [address]
-                assert shared_health().is_down(address)
+                assert pool.suspected(address)
                 # The replica restarts on its old port: first pong
                 # brings it straight back.
                 server = GeneratorServer(host=host, port=port)
                 server.start()
                 assert _wait_until(lambda: address in pool.up_addresses)
-                assert not shared_health().is_down(address)
+                assert not pool.suspected(address)
             finally:
                 pool.close()
                 server.shutdown()
@@ -467,14 +527,40 @@ class TestHealthProbing:
     def test_healthy_stream_reverses_member_down(self):
         a, b = ("127.0.0.1", 1), ("127.0.0.1", 2)
         pool = ServerPool([a, b])
-        try:
+        tracer = Tracer()
+        with tracer.lifecycle():
             pool.mark_down(a, reason="probe said so")
             pool.note_healthy(a)  # a real stream beats any probe verdict
-            assert a in pool.up_addresses
-            assert pool.stats()["ups"] == 1
-        finally:
-            pool.close()
+        assert a in pool.up_addresses
+        assert not pool.suspected(a)
+        assert len(tracer.summary()[f"pool:{pool.name}"][EventKind.MEMBER_UP]) == 1
 
+    def test_pong_on_an_up_member_keeps_a_loss_mark(self):
+        # A pong says the replica answers pings, not that the session
+        # another pool just lost there was a fluke: the mark stays.
+        with GeneratorServer() as server:
+            address = tuple(server.address)
+            pool = ServerPool([address], suspicion=60.0, probe_interval=0.02)
+            try:
+                pool.note_lost("k", address, "killed")
+                time.sleep(0.2)  # several probe rounds, each a pong
+                assert address in pool.up_addresses
+                assert pool.suspected(address)
+                assert breaker_for(address).is_down()
+            finally:
+                pool.close()
+
+    def test_pong_on_a_down_member_clears_its_mark(self):
+        with GeneratorServer() as server:
+            address = tuple(server.address)
+            # A 60 s mark: only the pong can clear it within the test.
+            pool = ServerPool([address], suspicion=60.0, probe_interval=0.02)
+            try:
+                assert pool.mark_down(address, reason="probe said so")
+                assert _wait_until(lambda: address in pool.up_addresses)
+                assert not pool.suspected(address)
+            finally:
+                pool.close()
 
 def double(x):
     return 2 * x
@@ -500,14 +586,17 @@ class TestChurnIntegration:
                 capacity=2,
                 backoff=NO_BACKOFF,
             )
-            received = list(piped.iterate())
+            tracer = Tracer()
+            with tracer.lifecycle():
+                received = list(piped.iterate())
             assert received == list(range(40))
             assert set(pool.addresses) == {
                 tuple(one.address), tuple(two.address), ghost,
             }
             assert pool.weight_of(ghost) == 2.0
-            stats = pool.stats()
-            assert stats["joins"] == 2 and stats["leaves"] == 0
+            events = tracer.summary()[f"pool:{pool.name}"]
+            assert len(events[EventKind.MEMBER_JOIN]) == 2
+            assert EventKind.MEMBER_LEAVE not in events
 
     def test_mid_stream_fleet_change_leaves_the_stream_intact(self):
         with GeneratorServer() as one, GeneratorServer() as two:
