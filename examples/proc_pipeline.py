@@ -81,7 +81,6 @@ def demo_supervised_respawn(state_dir: str) -> None:
         max_retries=2,
         backend="process",
         heartbeat_interval=0.05,
-        restart="replay",
     )
     print(f"   results  : {list(supervised.iterate())}")
     print(f"   failures : {supervised.failures} (one chaos kill, absorbed)")

@@ -45,7 +45,6 @@ from .supervision import (
     NO_BACKOFF,
     BackoffPolicy,
     FaultPlan,
-    SupervisedPipe,
     supervise,
     supervised_pipeline,
     supervised_stage,
@@ -68,7 +67,6 @@ __all__ = [
     "PipeOptions",
     "PipeScheduler",
     "RaiseEnvelope",
-    "SupervisedPipe",
     "WorkerHandle",
     "activate",
     "apply_mapped",

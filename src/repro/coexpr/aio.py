@@ -335,7 +335,10 @@ class AsyncPipe:
     _deadline_error = Pipe._deadline_error
     _timed_out = Pipe._timed_out
     _cancel_upstream = Pipe._cancel_upstream
+    _worker_done = Pipe._worker_done
     _queued = Pipe._queued
+    #: An async-native pipe carries no restart policy.
+    _policy = None
 
     def start(self) -> "AsyncPipe":
         """Spawn the producer task on the running loop (idempotent)."""
@@ -543,8 +546,7 @@ class AsyncWorker:
                 pass  # cancelled while reporting: consumer is gone
         finally:
             out.close()
-            if pipe._cancelled or pipe._errored:
-                pipe._cancel_upstream()
+            pipe._worker_done()
             if self.scheduler is not None:
                 self.scheduler.untrack_session(self)
 
@@ -595,9 +597,8 @@ def async_unsafe_reason(pipe: Any) -> str | None:
     """
     from .channel import Channel
     from .future import Future, MVar
-    from .supervision import SupervisedPipe
 
-    blocking = (Pipe, SupervisedPipe, Future, MVar, Channel)
+    blocking = (Pipe, Future, MVar, Channel)
     upstream = getattr(pipe, "upstream", None)
     if upstream is not None and isinstance(upstream, blocking):
         return "stage is fed by an in-process pipe (blocking take would starve the loop)"

@@ -130,6 +130,9 @@ class Channel:
         self._woken = 0
         self._putters = 0
         self._envelopes = 0
+        #: Items taken so far, error envelopes excluded (changes only
+        #: under _lock, so it is exact with any number of consumers).
+        self.taken = 0
 
     def _await_item(self, deadline: float | None, what: str) -> None:
         """Wait, counted, until an item is queued or the channel closes;
@@ -171,6 +174,8 @@ class Channel:
         item = self._items.popleft()
         if self._envelopes and isinstance(item, RaiseEnvelope):
             self._envelopes -= 1
+        else:
+            self.taken += 1
         if self._putters:
             self._not_full.notify()
         return item
@@ -330,6 +335,7 @@ class Channel:
                 items.clear()
             else:
                 batch = [items.popleft() for _ in range(max_n)]
+            self.taken += len(batch)
             if self._putters:
                 self._not_full.notify(len(batch))
         return batch

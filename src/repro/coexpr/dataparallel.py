@@ -27,6 +27,18 @@ The **data-parallel** variant of Section VII (:meth:`DataParallel.map_flat`)
 differs "only in performing summation over the sequence returned from
 flattening the chunks, thus splitting out the reduction and effecting
 serialization": the pipes only map; the caller reduces serially.
+
+On a server pool a chunk stranded on a dead or shed replica
+(:class:`~repro.errors.PipeConnectionLost`, which covers
+:class:`~repro.errors.PipeServerBusy`) is *stolen*: its task pipe
+carries the steal :class:`~repro.coexpr.pipe.RestartPolicy`, so it
+restarts in place under the same route key — pool suspicion routes it
+to the next live replica — and the replayed prefix is skipped, so the
+consumer sees each result once (chunk bodies are deterministic
+snapshots).  A steal is supervision's restart with its own policy:
+after ``2 * len(pool)`` steals the chunk re-runs on the thread tier,
+the end of the replica → next replica → threads degradation order; the
+work is never silently dropped.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 from .coexpression import CoExpression
 from .options import PipeOptions
-from .pipe import Pipe
+from .pipe import Pipe, RestartPolicy
 from .scheduler import PipeScheduler
 
 
@@ -204,97 +216,6 @@ class DataParallel:
 
     # -- shared driver ----------------------------------------------------------
 
-    def _spawn(
-        self,
-        task_body: Callable[..., Iterator[Any]],
-        chunk: List[Any],
-        extra: tuple,
-        options: PipeOptions,
-        name: str = "mapreduce-task",
-    ) -> Pipe:
-        coexpr = CoExpression(task_body, lambda: (chunk,) + extra, name=name)
-        return Pipe(coexpr, scheduler=self.scheduler, options=options).start()
-
-    @staticmethod
-    def _pool(options: PipeOptions) -> Any:
-        """The ServerPool routing this run's tasks (None when the run is
-        single-server, local, or not remote at all)."""
-        if options.backend != "remote":
-            return None
-        pool = options.remote_address
-        return pool if hasattr(pool, "dial_candidates") else None
-
-    def _task_name(self, index: int, options: PipeOptions) -> str:
-        # Pooled tasks need distinct route keys: under one shared name
-        # every chunk would hash to the same replica, defeating the
-        # fan-out.  Single-server and local runs keep the classic name.
-        if self._pool(options) is not None:
-            return f"mapreduce-task-{index}"
-        return "mapreduce-task"
-
-    def _drain(
-        self,
-        holder: List[Any],
-        task_body: Callable[..., Iterator[Any]],
-        extra: tuple,
-        options: PipeOptions,
-    ) -> Iterator[Any]:
-        """Drain one chunk task, stealing the chunk back on replica loss.
-
-        ``holder`` is ``[pipe, chunk]`` — mutated in place on respawn so
-        the caller's cancellation sweep always sees the live incarnation.
-        A chunk stranded on a dead or shed replica
-        (:class:`~repro.errors.PipeConnectionLost`, which covers
-        :class:`~repro.errors.PipeServerBusy`) is *stolen*: re-spawned
-        under the same route key, where pool suspicion routes it to the
-        next live replica, and the replayed prefix is skipped so the
-        consumer sees each result exactly once (chunk bodies are
-        deterministic snapshots).  After ``2 * len(pool)`` steals the
-        chunk falls back to the thread tier — the end of the
-        replica → next replica → threads degradation order; the work is
-        never silently dropped.
-        """
-        pool = self._pool(options)
-        if pool is None:
-            yield from holder[0].iterate()
-            return
-        delivered = 0
-        skip = 0
-        steals = 0
-        while True:
-            task = holder[0]
-            try:
-                while True:
-                    value = task.take()
-                    if value is FAIL:
-                        return
-                    if skip:
-                        skip -= 1
-                        continue
-                    delivered += 1
-                    yield value
-            except PipeConnectionLost as error:
-                steals += 1
-                fallback = steals > 2 * len(pool)
-                pool.note_steal(
-                    task.coexpr.name,
-                    delivered,
-                    reason=error.reason or str(error),
-                    fallback=fallback,
-                    # The replica the chunk was stranded on — named in
-                    # the STEAL event's payload.
-                    address=pool.last_address(task.coexpr.name),
-                )
-                task.cancel()
-                holder[0] = self._spawn(
-                    task_body,
-                    holder[1],
-                    extra,
-                    replace(options, backend="thread") if fallback else options,
-                    name=task.coexpr.name,
-                )
-                skip = delivered
-
     def _run_tasks(
         self,
         task_body: Callable[..., Iterator[Any]],
@@ -306,9 +227,17 @@ class DataParallel:
         options = self.options
         if backend is not None:
             options = replace(options, backend=backend)
+        # Pooled tasks carry the steal policy, and need distinct route
+        # keys: under one shared name every chunk would hash to the same
+        # replica, defeating the fan-out.  Single-server and local runs
+        # keep the classic name.
+        pool = options.remote_address
+        if options.backend != "remote" or not hasattr(pool, "dial_candidates"):
+            pool = None
+        policy = None if pool is None else RestartPolicy((PipeConnectionLost,), pool=pool)
         # A window of live task pipes, drained in order; the paper's
         # shape (``max_pending=None``) spawns every chunk's task before
-        # the first drain.  A holder leaves the window only once its
+        # the first drain.  A task leaves the window only once its
         # drain finishes, so if the drain stops early — one task raised,
         # or the consumer abandoned the generator — every outstanding
         # task pipe, the one being drained included, is cancelled and no
@@ -316,19 +245,23 @@ class DataParallel:
         window: deque = deque()
         try:
             for index, chunk in enumerate(self.chunk(source)):
-                window.append(
-                    [self._spawn(task_body, chunk, extra, options,
-                                 name=self._task_name(index, options)), chunk]
+                name = "mapreduce-task" if pool is None else f"mapreduce-task-{index}"
+                task = Pipe(
+                    CoExpression(task_body, lambda: (chunk,) + extra, name=name),
+                    scheduler=self.scheduler,
+                    options=options,
                 )
+                task._policy = policy
+                window.append(task.start())
                 if self.max_pending is not None and len(window) >= self.max_pending:
-                    yield from self._drain(window[0], task_body, extra, options)
+                    yield from window[0].iterate()
                     window.popleft()
             while window:
-                yield from self._drain(window[0], task_body, extra, options)
+                yield from window[0].iterate()
                 window.popleft()
         finally:
-            for holder in window:
-                holder[0].cancel()
+            for task in window:
+                task.cancel()
 
 
 def map_reduce(

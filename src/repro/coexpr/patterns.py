@@ -16,9 +16,9 @@ producing several outputs) and plain functions map one-to-one.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
-
 import threading
+from functools import partial
+from typing import Any, Callable, Iterator
 
 from ..errors import ChannelClosedError
 from ..runtime.failure import FAIL
@@ -26,7 +26,7 @@ from ..runtime.iterator import IconIterator
 from .coexpression import CoExpression
 from .dataparallel import apply_mapped, iter_source
 from .options import PipeOptions, options_from
-from .pipe import Pipe
+from .pipe import Pipe, UpstreamFailure
 from .scheduler import PipeScheduler, default_scheduler
 
 
@@ -45,13 +45,26 @@ def _stage_body(up: Any, fn: Callable[[Any], Any]) -> Iterator[Any]:
     stage is not a crash of it: a timeout raised here would end the
     stage and lose the rest of the stream, so only the outermost
     consumer's take times out (the upstream's deadline still bounds the
-    wait)."""
+    wait).  Nor is the upstream's error: one raised by its take (or by
+    a shared iterator's step) leaves as :class:`UpstreamFailure`, so a
+    supervised stage passes it on instead of restarting over a dead
+    upstream.  A supervised stage's function has a ``per_run`` method,
+    called at each body start before the first take: its fault plan's
+    run starts there."""
+    if hasattr(fn, "per_run"):
+        fn = fn.per_run()
     if isinstance(up, IconIterator) and hasattr(up, "take"):
-        while (value := up.take(None)) is not FAIL:
-            yield from apply_mapped(fn, value)
+        pull = partial(up.take, None)
     else:
-        for value in iter_source(up):
-            yield from apply_mapped(fn, value)
+        pull = partial(next, iter_source(up), FAIL)
+    while True:
+        try:
+            value = pull()
+        except Exception as error:  # noqa: BLE001 - the upstream's, passed on
+            raise UpstreamFailure(error) from None
+        if value is FAIL:
+            return
+        yield from apply_mapped(fn, value)
 
 
 def _remote_pipeline_body(source: Any, stages: tuple) -> Iterator[Any]:
@@ -190,17 +203,9 @@ def fan_out(
         upstream, capacity=capacity, scheduler=scheduler
     )
     shared.start()
-
-    def body(src: Pipe) -> Iterator[Any]:
-        while True:
-            value = src.take()
-            if value is FAIL:
-                return
-            yield value
-
     return [
         Pipe(
-            CoExpression(body, lambda: (shared,), name=f"fanout-{index}"),
+            CoExpression(_source_body, lambda: (shared,), name=f"fanout-{index}"),
             capacity=capacity,
             scheduler=scheduler,
         )

@@ -30,14 +30,18 @@ in a consumer-side buffer that later takes serve without the lock — so
 bounded pipe takes one result at a time, so a capacity-k producer never
 runs more than k results ahead of its consumer.
 
-Robustness (the supervision layer, :mod:`repro.coexpr.supervision`)
-builds on three hooks here:
+Robustness builds on four hooks here:
 
 * ``take(timeout=...)`` / a per-pipe ``take_timeout`` — deadline-correct
   blocking that raises :class:`~repro.errors.PipeTimeoutError`;
 * ``cancel(join=True, timeout=...)`` — graceful-or-forced teardown that
   closes the co-expression body, unblocks the worker, and propagates to
   an ``upstream`` pipe so no producer is left blocked on a full channel;
+* the restart rule — a pipe carrying a :class:`RestartPolicy` restarts
+  its crashed producer in place (the paper's ``^c``: a refresh) instead
+  of raising; supervision (:mod:`repro.coexpr.supervision`) and
+  :class:`~repro.coexpr.dataparallel.DataParallel`'s work stealing are
+  two policies over that one step;
 * lifecycle events (start/cancel/timeout) on the monitor bus.
 
 The knobs — the queue bound plus nine more — are one frozen
@@ -58,14 +62,16 @@ import threading
 import time
 from collections import deque
 from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from importlib import import_module
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..errors import (
     ChannelClosedError,
     PipeDeadlineExceeded,
     PipeError,
     PipeTimeoutError,
+    RetryExhaustedError,
 )
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
@@ -80,6 +86,83 @@ from .scheduler import PipeScheduler, WorkerHandle, default_scheduler
 _UNSET = object()
 #: ``take_many`` bound for an unbatched unbounded pipe: everything queued.
 _DRAIN_ALL = sys.maxsize
+
+
+@dataclass(frozen=True)
+class RestartPolicy:
+    """How a pipe restarts its crashed producer — the one restart rule
+    (:meth:`Pipe._restart`) behind supervision and work stealing.
+
+    A producer error of a ``retry_on`` type restarts the producer in
+    place, on a refreshed co-expression, instead of reaching the
+    consumer; any other error is raised.
+
+    * Supervision (:func:`~repro.coexpr.supervision.supervise`): the
+      budget is ``max_retries``; before the n-th restart ``sleep`` waits
+      ``backoff.delay(n)`` (a ``RETRY`` event on ``supervise:<name>``);
+      past the budget the take raises :class:`RetryExhaustedError` (an
+      ``EXHAUST`` event).
+    * Work stealing (``pool`` set: a
+      :class:`~repro.coexpr.dataparallel.DataParallel` chunk task on a
+      server pool): the budget is ``2 * len(pool)``, each restart is
+      reported through ``pool.note_steal`` (a ``STEAL`` event), and past
+      the budget the task restarts on the thread tier — the end of the
+      replica → next replica → threads order, so no work is dropped.
+    """
+
+    retry_on: tuple = (Exception,)
+    max_retries: int = 3
+    backoff: Any = None
+    sleep: Callable[[float], None] = time.sleep
+    pool: Any = None
+
+
+class UpstreamFailure(Exception):
+    """An upstream's error on its way through a stage (raised by the
+    stage body, :func:`~repro.coexpr.patterns._stage_body`).  The stage
+    did not crash: :meth:`Pipe.take` raises :attr:`error` itself and
+    never restarts the stage for it."""
+
+    #: The upstream's error, the one argument.
+    error = property(lambda self: self.args[0])
+
+
+class _Replay(Channel):
+    """The channel of a restarted incarnation whose body replays its
+    stream: it drops the first *skip* results, the prefix the pipe's
+    consumers already hold, so each result is delivered once."""
+
+    def __init__(self, capacity: int, skip: int) -> None:
+        super().__init__(capacity)
+        self._skip = skip
+
+    def put(self, item: Any, timeout: float | None = None) -> None:
+        if self._skip:
+            self._skip -= 1
+        else:
+            super().put(item, timeout)
+
+    def put_many(self, items: Any, timeout: float | None = None) -> int:
+        if self._skip:
+            items = list(items)
+            dropped = min(self._skip, len(items))
+            self._skip -= dropped
+            items = items[dropped:]
+        return super().put_many(items, timeout)
+
+
+def _resumes(coexpr: CoExpression) -> bool:
+    """Whether a restarted *coexpr* resumes rather than replays.
+
+    A body whose environment holds position state of this process —
+    something it takes from (a pipe, a channel) or steps (a live
+    iterator), as a :func:`~repro.coexpr.patterns.stage` does — finds
+    the items it consumed gone, so the refreshed body goes on from
+    where that state is now.  A self-contained snapshot replays its
+    stream from the start, and the replayed prefix is dropped
+    (exactly-once for a deterministic body)."""
+    env = coexpr._env
+    return any(hasattr(value, "take") or hasattr(value, "__next__") for value in env)
 
 
 class Pipe(IconIterator):
@@ -115,6 +198,10 @@ class Pipe(IconIterator):
         "_coalescer",
         "_cond",
         "_producer_done",
+        "_policy",
+        "_failures",
+        "_delivered",
+        "_wake",
     )
 
     def __init__(
@@ -148,37 +235,49 @@ class Pipe(IconIterator):
         elif capacity or knobs:
             raise TypeError("pass options= or the knob keywords, not both")
         super().__init__()
-        self.coexpr: CoExpression = coexpr_of(expr)
-        #: The knobs this pipe runs with (frozen; refresh() reuses them).
-        self.options = options
-        # The knobs the take and worker loops read, as plain attributes.
-        self.capacity = options.capacity
-        #: The output blocking queue — public, as in the paper.
-        self.out = Channel(options.capacity)
-        self.take_timeout = options.take_timeout
-        self.batch = options.batch
-        #: End-to-end budget (shared along pipelines and across
-        #: supervised restarts — a retry does not reset the clock).
-        self.deadline: Deadline | None = options.deadline
         #: The pipe feeding this one, when built by ``patterns.stage`` —
         #: cancellation propagates through it so a dead stage never
         #: leaves its producer blocked on a full channel.
         self.upstream: Any = None
         self._scheduler = scheduler
-        self._started = False
         self._start_lock = threading.Lock()
         self._cancelled = False
+        #: Consumer-side buffer: results already taken from ``out`` in a
+        #: slice (a batch, or an unbounded pipe's drain) and not yet
+        #: served.  Fan-out consumers share it through deque's atomic
+        #: ``popleft``.
+        self._pending: deque = deque()
+        #: The restart rule (None: a producer error reaches the consumer).
+        self._policy: RestartPolicy | None = None
+        self._failures = 0
+        #: Results taken from the channels of crashed incarnations.
+        self._delivered = 0
+        #: Set by cancel() to cut a backoff wait short.
+        self._wake: threading.Event | None = None
+        self._setup(coexpr_of(expr), options, Channel(options.capacity))
+
+    def _setup(self, coexpr: CoExpression, options: PipeOptions, out: Channel) -> None:
+        """The per-incarnation half of ``__init__``, which
+        :meth:`_restart` runs again: the body, its knobs, the channel
+        *out* and the worker state."""
+        self.coexpr = coexpr
+        #: The knobs this pipe runs with (frozen; refresh() reuses them).
+        self.options = options
+        # The knobs the take and worker loops read, as plain attributes.
+        self.capacity = options.capacity
+        #: The output blocking queue — public, as in the paper.
+        self.out = out
+        self.take_timeout = options.take_timeout
+        self.batch = options.batch
+        #: End-to-end budget (shared along pipelines and across
+        #: supervised restarts — a retry does not reset the clock).
+        self.deadline: Deadline | None = options.deadline
         self._worker: WorkerHandle | None = None
         #: The process/remote/async worker when that tier engaged.
         self._tier_worker: Any = None
         #: Why the requested tier fell back to threads (None if it did not).
         self._degraded: str | None = None
         self._errored = False
-        #: Consumer-side buffer: results already taken from ``out`` in a
-        #: slice (a batch, or an unbounded pipe's drain) and not yet
-        #: served.  Fan-out consumers share it through deque's atomic
-        #: ``popleft``.
-        self._pending: deque = deque()
         #: The batching rule, shared by whichever in-process tier runs
         #: the producer (thread or async).
         self._coalescer = Coalescer(options.batch, options.max_linger)
@@ -192,6 +291,8 @@ class Pipe(IconIterator):
         )
         self._flusher: WorkerHandle | None = None
         self._producer_done = False
+        # Last: a take racing a restart starts only a complete incarnation.
+        self._started = False
 
     # The knobs no loop reads, served from the options (read-only).
     max_linger = property(lambda self: self.options.max_linger)
@@ -203,9 +304,9 @@ class Pipe(IconIterator):
 
     # -- lifecycle events ------------------------------------------------------
 
-    def _emit(self, kind: str, value: Any = None) -> None:
+    def _emit(self, kind: str, value: Any = None, node: str = "pipe") -> None:
         if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.coexpr.name}", 0, value))
+            emit_lifecycle(Event(kind, f"{node}:{self.coexpr.name}", 0, value))
 
     def _deadline_error(self, where: str) -> PipeDeadlineExceeded:
         """Record the expiry and build the error to raise/deliver."""
@@ -352,11 +453,7 @@ class Pipe(IconIterator):
                     if cond is not None:
                         cond.notify()  # release the flusher
             out.close()
-            # A worker that died (error) or was cancelled abandons its
-            # upstream mid-stream; propagate so the producer chain above
-            # is not left blocked on a full channel.
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
+            self._worker_done()
 
     def _flush(self) -> None:
         """Move every coalesced result through the channel as one slice;
@@ -394,13 +491,19 @@ class Pipe(IconIterator):
                 except ChannelClosedError:
                     return  # consumer cancelled: nothing left to deliver
 
+    def _worker_done(self) -> None:
+        """The last step of every tier's worker.  A stream that was
+        cancelled, or that errored with no restart to follow, abandons
+        its upstream mid-stream: cancel it, so the producer chain above
+        is not left blocked on a full channel.  A pipe with a restart
+        policy keeps its upstream for the next incarnation, and the
+        consumer's :meth:`_recover` cancels it if it gives up."""
+        if self._cancelled or (self._errored and self._policy is None):
+            self._cancel_upstream()
+
     def _cancel_upstream(self) -> None:
-        upstream = self.upstream
-        if upstream is None:
-            return
-        canceller = getattr(upstream, "cancel", None)
-        if canceller is not None:
-            canceller()
+        if self.upstream is not None:
+            self.upstream.cancel()
 
     # -- consumer ------------------------------------------------------------
 
@@ -414,6 +517,10 @@ class Pipe(IconIterator):
         bounds the wait, and its expiry is *active*: the pipe cancels
         itself (tearing down the producer, whichever tier it runs on)
         and raises :class:`PipeDeadlineExceeded` instead.
+
+        A producer error raises here, after every result produced before
+        it — unless the pipe's :class:`RestartPolicy` restarts the
+        producer (see :meth:`_recover`), and the take goes on.
         """
         deadline = self.deadline
         if deadline is not None and deadline.expired():
@@ -437,22 +544,26 @@ class Pipe(IconIterator):
         # whatever is queued.  A bounded unbatched pipe takes one item at
         # a time, so its producer never runs more than capacity ahead.
         many = self.batch > 1 or not self.capacity
-        try:
-            self.start()
-            if many:
-                item = self.out.take_many(
-                    self.batch if self.batch > 1 else _DRAIN_ALL, timeout
-                )
-            else:
-                item = self.out.take(timeout)
-        except PipeDeadlineExceeded:
-            # The producer's own expiry envelope (or a start-time
-            # short-circuit): already the right error — tear down and
-            # let it through unwrapped.
-            self.cancel()
-            raise
-        except PipeTimeoutError:
-            raise self._timed_out(timeout) from None
+        while True:
+            try:
+                self.start()
+                if many:
+                    item = self.out.take_many(
+                        self.batch if self.batch > 1 else _DRAIN_ALL, timeout
+                    )
+                else:
+                    item = self.out.take(timeout)
+                break
+            except PipeDeadlineExceeded:
+                # The producer's own expiry envelope (or a start-time
+                # short-circuit): already the right error — tear down and
+                # let it through unwrapped.
+                self.cancel()
+                raise
+            except PipeTimeoutError:
+                raise self._timed_out(timeout) from None
+            except Exception as error:  # noqa: BLE001 - the producer's error
+                self._recover(error)  # raises, or restarted the producer
         if item is CLOSED:
             return FAIL
         if many:
@@ -462,6 +573,82 @@ class Pipe(IconIterator):
                 self._pending.extend(item[1:])
             return item[0]
         return item
+
+    def _recover(self, error: Exception) -> None:
+        """A producer error reached the consumer: restart the producer
+        by the pipe's policy, or raise the error.
+
+        An upstream's error passing through a stage
+        (:class:`UpstreamFailure`) is not this producer's crash: it is
+        raised as it was, and never restarts this pipe.  A policy pipe
+        that gives up cancels the upstream its worker kept."""
+        policy = self._policy
+        passing = isinstance(error, UpstreamFailure)
+        if policy is not None:
+            if not passing and isinstance(error, policy.retry_on):
+                self._restart(error)
+                return
+            self._cancel_upstream()
+        if passing:
+            error = error.error
+            raise error from error.__cause__
+        raise error
+
+    def _restart(self, error: Exception) -> None:
+        """The one restart rule: restart the crashed producer in place.
+
+        Counts the failure against the policy's budget and reports it,
+        or gives up (see :class:`RestartPolicy`); waits the backoff;
+        then joins the crashed incarnation's worker and linger flusher,
+        which read this pipe's flags and channel on their way out, and
+        sets up the next incarnation over a refreshed co-expression.  A
+        body that replays gets a channel that drops the prefix already
+        delivered (:class:`_Replay`); one that resumes (:func:`_resumes`)
+        a plain one.  A cancel before the new incarnation starts leaves
+        the pipe down, and the take fails.
+        """
+        policy = self._policy
+        self._failures = attempt = self._failures + 1
+        options, name, pool = self.options, self.coexpr.name, policy.pool
+        if pool is not None:
+            fallback = attempt > 2 * len(pool)
+            reason = getattr(error, "reason", None) or str(error)
+            pool.note_steal(name, self.delivered, reason, fallback, pool.last_address(name))
+            if fallback:
+                options = replace(options, backend="thread")
+        elif attempt > policy.max_retries:
+            self._emit(EventKind.EXHAUST, attempt, "supervise")
+            self._cancel_upstream()  # giving up: nothing will drain it
+            raise RetryExhaustedError(
+                f"supervise {name!r}: producer failed {attempt} times "
+                f"(max_retries={policy.max_retries})",
+                attempts=attempt,
+            ) from error
+        else:
+            delay = policy.backoff.delay(attempt)
+            retry = {"attempt": attempt, "delay": delay, "error": repr(error)}
+            self._emit(EventKind.RETRY, retry, "supervise")
+            if delay and policy.sleep is not time.sleep:
+                policy.sleep(delay)  # injected: tests see the exact delays
+            elif delay:
+                # The default sleep waits on an event cancel() sets, so
+                # a cancel mid-backoff returns at once.
+                self._wake = wake = threading.Event()
+                if not self._cancelled:
+                    wake.wait(delay)
+        if self._cancelled:
+            return
+        for handle in (self._worker, self._flusher):
+            if handle is not None:
+                handle.join()
+        self._delivered = self.delivered
+        coexpr = self.coexpr.refresh()
+        skip = 0 if _resumes(coexpr) else self._delivered
+        out = _Replay(options.capacity, skip) if skip else Channel(options.capacity)
+        self._setup(coexpr, options, out)
+        if self._cancelled:  # raced with a concurrent cancel(): stay down
+            out.close()
+            coexpr.close()
 
     def _queued(self) -> int:
         """Results produced and not yet served: ``out`` plus the drained
@@ -513,6 +700,9 @@ class Pipe(IconIterator):
                 # Process: signal the child (the pump reaps it); remote:
                 # send cancel and close the socket; async: cancel the task.
                 tier_worker.terminate()
+            wake = self._wake
+            if wake is not None:
+                wake.set()  # cut a restart's backoff wait short
             self._cancel_upstream()
         worker = self._worker
         if worker is None:
@@ -525,11 +715,24 @@ class Pipe(IconIterator):
     def cancelled(self) -> bool:
         return self._cancelled
 
+    @property
+    def failures(self) -> int:
+        """Producer crashes the restart policy has absorbed (or re-raised)."""
+        return self._failures
+
+    @property
+    def delivered(self) -> int:
+        """Results taken from the channel so far, across restarts: the
+        ones served, plus any a drained slice still holds."""
+        return self._delivered + self.out.taken
+
     def refresh(self) -> "Pipe":
         """``^p`` — a new pipe over a refreshed copy of the co-expression."""
         # The same options: the same budget (a refresh is not a reset)
-        # and the same server pool.
-        return Pipe(self.coexpr.refresh(), scheduler=self._scheduler, options=self.options)
+        # and the same server pool; and the same restart policy.
+        fresh = Pipe(self.coexpr.refresh(), scheduler=self._scheduler, options=self.options)
+        fresh._policy = self._policy
+        return fresh
 
     # -- runtime protocol hooks ------------------------------------------------
 

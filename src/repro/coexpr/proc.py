@@ -96,8 +96,8 @@ def body_portability_reason(pipe: Any) -> str | None:
     * a body that already started in the parent cannot be snapshotted
       mid-iteration — another process would silently replay from the top;
     * an environment (or declared upstream) referencing parent-side
-      concurrency state — a :class:`Pipe`, :class:`Channel`, supervised
-      pipe, M-var or future — cannot cross the boundary: the threads
+      concurrency state — a :class:`Pipe` (a supervised one included),
+      :class:`Channel`, M-var or future — cannot cross the boundary: the threads
       feeding those objects do not survive on the other side, so the
       body would block forever on a queue nobody fills;
     * a live iterator (or started co-expression) in the environment is
@@ -108,12 +108,11 @@ def body_portability_reason(pipe: Any) -> str | None:
     from .coexpression import CoExpression
     from .future import Future, MVar
     from .pipe import Pipe
-    from .supervision import SupervisedPipe
 
     coexpr = pipe.coexpr
     if coexpr.started:
         return "co-expression already started in the parent"
-    parent_bound = (Pipe, SupervisedPipe, Future, MVar)
+    parent_bound = (Pipe, Future, MVar)
     upstream = getattr(pipe, "upstream", None)
     if upstream is not None and isinstance(upstream, parent_bound):
         return "stage is fed by an in-parent pipe"

@@ -27,8 +27,9 @@ The pump owns the client half of the session protocol:
 * coalesced credit, and cancel as ``WIRE_CANCEL``;
 * the loss report, made at most once: the transport's error goes into
   the channel after every result delivered before it;
-* the teardown: close the channel, release the transport, and cancel
-  the upstream when the stream errored or was cancelled.
+* the teardown: close the channel, release the transport, and apply
+  the pipe's end-of-worker upstream rule (:meth:`Pipe._worker_done
+  <repro.coexpr.pipe.Pipe._worker_done>`).
 
 Flow control is credit-based: the pump grants credit equal to the
 pipe's capacity up front (None = unlimited for an unbounded channel)
@@ -271,8 +272,7 @@ class StreamPump:
         finally:
             out.close()
             self._release()
-            if pipe._cancelled or pipe._errored:
-                pipe._cancel_upstream()
+            pipe._worker_done()
 
     def _deliver(self, slice_: list) -> None:
         """One data slice: into the channel, then the credit owed for it."""

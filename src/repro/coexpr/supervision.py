@@ -12,17 +12,21 @@ Three pieces:
 
 * :class:`BackoffPolicy` — exponential backoff with an injectable
   ``sleep`` (tests pass a fake and run deterministically).
-* :class:`SupervisedPipe` / :func:`supervise` — wraps an expression the
-  way ``|>`` does, but a producer crash consumes a retry instead of
-  poisoning the channel: the co-expression is refreshed and re-run.  Two
-  restart modes:
+* :func:`supervise`, :func:`supervised_stage` and
+  :func:`supervised_pipeline` — ``|>``, ``stage`` and ``pipeline``
+  whose pipes carry the supervision
+  :class:`~repro.coexpr.pipe.RestartPolicy`: a producer crash consumes
+  a retry instead of poisoning the channel, and the pipe restarts in
+  place by the one restart rule (:meth:`Pipe._restart
+  <repro.coexpr.pipe.Pipe._restart>`, shared with
+  :class:`~repro.coexpr.dataparallel.DataParallel`'s work stealing).
+  The body decides how a restart continues, not a keyword:
 
-  - ``"replay"`` (self-contained sources): the refreshed body reproduces
-    the stream from the beginning, so already-delivered results are
-    skipped — exactly-once delivery for deterministic bodies.
-  - ``"resume"`` (channel-fed stages): the body iterates a shared
-    upstream whose consumed items are gone; the refreshed body simply
-    continues from the upstream's current position.
+  - a self-contained body (what ``supervise`` usually wraps) *replays*
+    the stream from its snapshot, and the already-delivered results
+    are skipped — exactly-once delivery for deterministic bodies;
+  - a stage's body takes from a shared upstream whose consumed items
+    are gone, so it *resumes* from the upstream's current position.
 
 * :class:`FaultPlan` — deterministic fault injection for tests: fail
   stage *N* on attempt *K* (at body start or after *M* items), delay a
@@ -36,10 +40,10 @@ Three pieces:
 A lost process worker (:class:`~repro.errors.PipeWorkerLost`, from the
 heartbeat watchdog of :mod:`repro.coexpr.proc`) is a retryable fault
 like any producer crash: restart respawns the child and replays or
-resumes from the supervision resume point, honoring the backoff.
+resumes, honoring the backoff.
 
-Every supervision decision (start, retry, cancel, timeout, exhaust) is
-emitted on the monitor lifecycle bus, so a
+Every supervision decision (retry, exhaust) is emitted on the monitor
+lifecycle bus beside the pipe's own start, cancel and timeout events, so a
 :class:`~repro.monitor.Tracer` can observe exactly what the supervisor
 did and when.
 """
@@ -54,23 +58,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from ..errors import (
-    InjectedDisconnect,
-    PipeError,
-    PipeTimeoutError,
-    RetryExhaustedError,
-)
-from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
-from ..runtime.failure import FAIL
-from ..runtime.iterator import IconIterator
-from .coexpression import CoExpression, coexpr_of
-from .dataparallel import iter_source
+from ..errors import InjectedDisconnect
+from .dataparallel import apply_mapped, iter_source
 from .options import PipeOptions, options_from
-from .patterns import _stage_body, _whole_chain, source_pipe
-from .pipe import Pipe
+from .patterns import _whole_chain, pipeline, stage
+from .pipe import Pipe, RestartPolicy
 from .scheduler import PipeScheduler
-
-_UNSET = object()
 
 
 # ---------------------------------------------------------------------------
@@ -446,293 +439,135 @@ class FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# The supervisor
+# Supervision: a pipe with the supervision restart policy
 # ---------------------------------------------------------------------------
 
-class SupervisedPipe(IconIterator):
-    """A pipe with a restart budget.
-
-    Takes behave like :meth:`Pipe.take` until the producer raises; then,
-    while retries remain, the co-expression is refreshed (``^c``) and run
-    on a fresh pipe after the policy's backoff, instead of the error
-    reaching the consumer.  When the budget is exhausted the take raises
-    :class:`RetryExhaustedError` chained to the last producer error.
-
-    Timeout expiry (:class:`PipeTimeoutError`) is *not* retried — a slow
-    producer is not a crashed one; the caller decides whether to cancel.
-    The same rule covers an end-to-end ``deadline``
-    (:class:`~repro.errors.PipeDeadlineExceeded` subclasses it): there
-    is no budget left to retry *in*, and because the one
-    :class:`~repro.coexpr.deadline.Deadline` object is shared across
-    restarts, a refreshed pipe cannot reset the clock either.
-    """
-
-    __slots__ = (
-        "name",
-        "max_retries",
-        "backoff",
-        "options",
-        "take_timeout",
-        "restart",
-        "upstream",
-        "_scheduler",
-        "_sleep",
-        "_cancel_event",
-        "_coexpr",
-        "_pipe",
-        "_failures",
-        "_delivered",
-        "_skip",
-        "_lock",
-        "_cancelled",
+def _supervised(
+    piped: Pipe,
+    max_retries: int,
+    backoff: BackoffPolicy | None,
+    sleep: Callable[[float], None],
+) -> Pipe:
+    """*piped*, carrying the supervision restart policy."""
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    piped._policy = RestartPolicy(
+        max_retries=max_retries, backoff=backoff or BackoffPolicy(), sleep=sleep
     )
-
-    def __init__(
-        self,
-        expr: Any,
-        *,
-        max_retries: int = 3,
-        backoff: BackoffPolicy | None = None,
-        scheduler: PipeScheduler | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-        restart: str = "replay",
-        upstream: Any = None,
-        name: str | None = None,
-        options: PipeOptions | None = None,
-        **knobs: Any,
-    ) -> None:
-        """The knob keywords (or one ``options=``) are :class:`Pipe`'s —
-        see the "Pipe options" table in ``docs/language.md`` — and every
-        (re)spawned pipe runs with the one :class:`PipeOptions` they
-        build.  So restarts share one ``deadline`` (a retry burns the
-        same budget) and one server pool (suspicion and failover memory
-        survive the refresh, so a reconnect does not re-dial the replica
-        that just died).  With ``backend="process"`` a lost child, and
-        with ``backend="remote"`` a lost connection, is a retryable
-        fault like any producer crash: the restart respawns or
-        reconnects."""
-        if restart not in ("replay", "resume"):
-            raise ValueError("restart must be 'replay' or 'resume'")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        super().__init__()
-        self._coexpr = coexpr_of(expr)
-        self.name = name or self._coexpr.name
-        self.max_retries = max_retries
-        self.backoff = backoff or BackoffPolicy()
-        self.options = options = options_from(options, knobs)
-        self.take_timeout = options.take_timeout
-        self.restart = restart
-        #: Optional upstream pipe to cancel when supervision gives up
-        #: (exhaust) or is cancelled — keeps the producer chain leak-free.
-        self.upstream = upstream
-        self._scheduler = scheduler
-        self._sleep = sleep
-        #: Set by cancel(): makes a backoff sleep in progress return
-        #: immediately instead of serving out its full delay.
-        self._cancel_event = threading.Event()
-        self._pipe = self._make_pipe()
-        self._failures = 0       # producer crashes seen so far
-        self._delivered = 0      # results handed to the consumer
-        self._skip = 0           # replayed results to discard after a restart
-        self._lock = threading.RLock()
-        self._cancelled = False
-
-    def _make_pipe(self) -> Pipe:
-        return Pipe(self._coexpr, scheduler=self._scheduler, options=self.options)
-
-    # -- lifecycle events -----------------------------------------------------
-
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"supervise:{self.name}", 0, value))
-
-    # -- consumer -------------------------------------------------------------
-
-    def take(self, timeout: Any = _UNSET) -> Any:
-        """The next result, transparently restarting a crashed producer."""
-        if timeout is _UNSET:
-            timeout = self.take_timeout
-        with self._lock:
-            while True:
-                if self._cancelled:
-                    return FAIL
-                try:
-                    value = self._pipe.take(timeout)
-                except PipeTimeoutError:
-                    raise
-                except Exception as error:  # noqa: BLE001 - producer crash
-                    self._on_crash(error)
-                    continue
-                if value is FAIL:
-                    return FAIL
-                if self._skip > 0:
-                    self._skip -= 1
-                    continue
-                self._delivered += 1
-                return value
-
-    def _on_crash(self, error: BaseException) -> None:
-        self._failures += 1
-        if self._failures > self.max_retries:
-            self._emit(EventKind.EXHAUST, self._failures)
-            self._cancel_upstream()  # giving up: nothing will drain it
-            raise RetryExhaustedError(
-                f"supervise {self.name!r}: producer failed "
-                f"{self._failures} times (max_retries={self.max_retries})",
-                attempts=self._failures,
-            ) from error
-        delay = self.backoff.delay(self._failures)
-        self._emit(
-            EventKind.RETRY,
-            {"attempt": self._failures, "delay": delay, "error": repr(error)},
-        )
-        if delay:
-            if self._sleep is time.sleep:
-                # The default sleep waits on the cancel event instead:
-                # cancel(join=True) mid-backoff returns immediately
-                # rather than serving out the delay.  An *injected*
-                # sleep is still called directly — tests rely on seeing
-                # the exact delays the policy computed.
-                self._cancel_event.wait(delay)
-            else:
-                self._sleep(delay)
-        self._pipe.cancel()
-        self._coexpr = self._coexpr.refresh()
-        self._pipe = self._make_pipe()
-        if self._cancelled:
-            self._pipe.cancel()  # raced with a concurrent cancel(): stay down
-        if self.restart == "replay":
-            self._skip = self._delivered
-
-    def next_value(self) -> Any:
-        return self.take()
-
-    def iterate(self) -> Iterator[Any]:
-        while True:
-            value = self.take()
-            if value is FAIL:
-                return
-            yield value
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def cancel(self, join: bool = False, timeout: float | None = None) -> bool:
-        """Cancel the current pipe (and the upstream chain, when given).
-
-        Deliberately lock-free: a consumer blocked inside :meth:`take`
-        holds the lock, and cancel is how another thread unblocks it
-        (closing the channel makes the take return :data:`FAIL`).
-        """
-        self._cancelled = True
-        self._cancel_event.set()  # interrupt a backoff sleep in progress
-        done = self._pipe.cancel(join=join, timeout=timeout)
-        self._cancel_upstream()
-        return done
-
-    _cancel_upstream = Pipe._cancel_upstream
-
-    @property
-    def failures(self) -> int:
-        """Producer crashes absorbed (or re-raised) so far."""
-        return self._failures
-
-    @property
-    def delivered(self) -> int:
-        """Results handed to the consumer so far."""
-        return self._delivered
-
-    # -- runtime protocol hooks ------------------------------------------------
-
-    def icon_activate(self, transmit: Any = None) -> Any:
-        if transmit is not None:
-            raise PipeError("cannot transmit a value into a supervised pipe")
-        return self.take()
-
-    def icon_promote(self) -> Iterator[Any]:
-        return self.iterate()
-
-    def icon_type(self) -> str:
-        return "supervised-pipe"
-
-    def __repr__(self) -> str:
-        return (
-            f"SupervisedPipe({self.name}, failures={self._failures}/"
-            f"{self.max_retries}, delivered={self._delivered})"
-        )
+    return piped
 
 
-def supervise(expr: Any, **kwargs: Any) -> SupervisedPipe:
-    """``|>`` with a restart budget: wrap *expr* in a supervised pipe.
+def supervise(
+    expr: Any,
+    *,
+    max_retries: int = 3,
+    backoff: BackoffPolicy | None = None,
+    scheduler: PipeScheduler | None = None,
+    sleep: Callable[[float], None] = time.sleep,
+    options: PipeOptions | None = None,
+    **knobs: Any,
+) -> Pipe:
+    """``|>`` with a restart budget: a :class:`Pipe` over *expr* whose
+    producer crashes are retried in place (see
+    :class:`~repro.coexpr.pipe.RestartPolicy`).
 
-    *expr* is anything :func:`~repro.coexpr.coexpr_of` accepts; the
-    keywords are :class:`SupervisedPipe`'s: the supervision ones plus
-    the pipe knobs of the "Pipe options" table in ``docs/language.md``.
-    See :class:`SupervisedPipe` for the restart-mode semantics; the
-    default ``"replay"`` suits self-contained deterministic sources, and
-    skips already-delivered results after a restart — a respawned child
-    or a reconnected server session included.
+    While retries remain, a crash refreshes the co-expression (``^c``)
+    and restarts it on a fresh worker after ``backoff.delay(n)``, slept
+    through *sleep* (tests inject a fake; the default is cut short by
+    :meth:`~Pipe.cancel`).  A self-contained body replays, and the
+    results already delivered are skipped — exactly-once for a
+    deterministic body, a respawned child or a reconnected server
+    session included.  Once the budget is spent the take raises
+    :class:`~repro.errors.RetryExhaustedError` chained to the last
+    producer error.
+
+    Timeout expiry (:class:`~repro.errors.PipeTimeoutError`) is *not*
+    retried — a slow producer is not a crashed one; the caller decides
+    whether to cancel.  The same holds for an end-to-end ``deadline``
+    (:class:`~repro.errors.PipeDeadlineExceeded` subclasses it): the
+    one :class:`~repro.coexpr.deadline.Deadline` is shared across
+    restarts, so a restart cannot reset the clock.
+
+    The knob keywords (or one ``options=``) are :class:`Pipe`'s — see
+    the "Pipe options" table in ``docs/language.md`` — and every
+    incarnation runs with the one :class:`PipeOptions` they build: one
+    deadline, and one server pool whose suspicion and failover memory
+    survive the restart.  With ``backend="process"`` a lost child, and
+    with ``backend="remote"`` a lost connection, is a retryable fault
+    like any producer crash: the restart respawns or reconnects.
     """
-    return SupervisedPipe(expr, **kwargs)
+    piped = Pipe(expr, scheduler=scheduler, options=options_from(options, knobs))
+    return _supervised(piped, max_retries, backoff, sleep)
 
 
-# ---------------------------------------------------------------------------
-# Supervised pipeline stages
-# ---------------------------------------------------------------------------
+class _StageRun:
+    """A supervised stage's function: its name, and the fault plan that
+    each body run enters (see :func:`~repro.coexpr.patterns._stage_body`)."""
+
+    def __init__(self, fn: Callable, plan: FaultPlan | None, key: Any, name: str) -> None:
+        self.fn = fn
+        self.plan = plan
+        self.key = key
+        self.__name__ = name
+
+    def per_run(self) -> Callable[[Any], Any]:
+        """Start one body run: enter the plan (which may fail the run
+        before it takes anything) and map with *fn*, counting results."""
+        fn, plan = self.fn, self.plan
+        if plan is None:
+            return fn
+        ctx = plan.enter(self.key)
+
+        def mapped(value: Any) -> Iterator[Any]:
+            for result in apply_mapped(fn, value):
+                ctx.on_item(result)
+                yield result
+
+        return mapped
+
 
 def supervised_stage(
     fn: Callable[[Any], Any],
     upstream: Any,
     *,
+    max_retries: int = 3,
+    backoff: BackoffPolicy | None = None,
+    scheduler: PipeScheduler | None = None,
+    sleep: Callable[[float], None] = time.sleep,
     fault_plan: FaultPlan | None = None,
     stage_key: Any = None,
     name: str | None = None,
-    **kwargs: Any,
-) -> SupervisedPipe:
-    """One pipeline stage whose crashes are retried in place.
+    options: PipeOptions | None = None,
+    **knobs: Any,
+) -> Pipe:
+    """:func:`~repro.coexpr.patterns.stage` with :func:`supervise`'s
+    restart budget: one pipeline stage whose crashes are retried in
+    place.
 
-    The stage body maps *fn* over a shared upstream; because channel
-    items are consumed destructively, restarts use ``"resume"`` mode —
-    the refreshed body picks up wherever the upstream is now.  An item
-    the body had taken but not finished processing when it crashed is
-    charged to that attempt (at-most-once per item); faults injected at
-    body start (the :class:`FaultPlan` default) lose nothing.  The other
-    keywords are :class:`SupervisedPipe`'s.
+    A stage's body takes from a shared upstream whose consumed items
+    are gone, so a restart *resumes*: the refreshed body goes on from
+    wherever the upstream is now.  An iterable *upstream* is snapshotted
+    as one shared iterator for that reason.  An item the body had taken
+    but not finished when it crashed is charged to that attempt
+    (at-most-once per item); faults injected at body start (the
+    :class:`FaultPlan` default) lose nothing.  An error out of the
+    upstream itself is the upstream's, not a crash of this stage: it
+    reaches the consumer as it was, and restarts nothing here.
 
-    ``backend="process"`` is accepted but a channel-fed stage (a live
-    upstream pipe in its environment) cannot cross a process boundary,
-    so it degrades to the thread backend with a ``DEGRADED`` monitor
-    event — the documented graceful-degradation rule.  Self-contained
-    upstreams (an iterable snapshot) are *consumed in the parent* via
-    the shared iterator, so they degrade too; true process stages come
-    from :func:`supervise`/:class:`~repro.coexpr.dataparallel.DataParallel`
+    ``backend="process"`` is accepted, but a channel-fed stage (a live
+    upstream pipe or the shared iterator in its environment) cannot
+    cross a process boundary, so it degrades to the thread backend with
+    a ``DEGRADED`` monitor event — the documented graceful-degradation
+    rule.  True process stages come from
+    :func:`supervise`/:class:`~repro.coexpr.dataparallel.DataParallel`
     over self-contained bodies.
     """
-    if isinstance(upstream, (Pipe, SupervisedPipe)):
-        shared: Any = upstream
-        up_pipe: Any = upstream
-    else:
-        # Snapshot a single shared iterator so a refreshed body resumes
-        # instead of replaying a restartable iterable from the top.
-        shared = iter(iter_source(upstream))
-        up_pipe = None
-
-    stage_name = name or getattr(fn, "__name__", "stage")
-    key = stage_key if stage_key is not None else stage_name
-
-    def body(up: Any, plan: FaultPlan | None, stage_id: Any) -> Iterator[Any]:
-        ctx = plan.enter(stage_id) if plan is not None else None
-        for mapped in _stage_body(up, fn):
-            if ctx is not None:
-                ctx.on_item(mapped)
-            yield mapped
-
-    coexpr = CoExpression(
-        body, lambda: (shared, fault_plan, key), name=stage_name
-    )
-    return SupervisedPipe(
-        coexpr, restart="resume", upstream=up_pipe, name=stage_name, **kwargs
-    )
+    if not isinstance(upstream, Pipe):
+        upstream = iter(iter_source(upstream))
+    name = name or getattr(fn, "__name__", "stage")
+    run = _StageRun(fn, fault_plan, name if stage_key is None else stage_key, name)
+    piped = stage(run, upstream, scheduler=scheduler, options=options_from(options, knobs))
+    return _supervised(piped, max_retries, backoff, sleep)
 
 
 def supervised_pipeline(
@@ -745,49 +580,39 @@ def supervised_pipeline(
     fault_plan: FaultPlan | None = None,
     options: PipeOptions | None = None,
     **knobs: Any,
-) -> Any:
+) -> Pipe:
     """:func:`~repro.coexpr.patterns.pipeline` with supervised stages.
 
     Each stage gets its own restart budget; stage keys for the fault
     plan are the 1-based stage indices (0 is the unsupervised source).
     Cancellation propagates the whole chain: cancelling the returned
-    pipe tears every stage and the source down.  The knob keywords
-    build one :class:`PipeOptions` shared by the source and every stage,
-    as in ``pipeline``.  ``backend="process"`` crash-isolates the
-    source; channel-fed stages degrade to threads per the rules in
-    :mod:`repro.coexpr.proc`.
+    pipe tears every stage and the source down, and an error no stage
+    retries — the source's own, or a stage's exhausted budget — reaches
+    the consumer.  The knob keywords build one :class:`PipeOptions`
+    shared by the source and every stage, as in ``pipeline``.
+    ``backend="process"`` crash-isolates the source; channel-fed stages
+    degrade to threads per the rules in :mod:`repro.coexpr.proc`.
 
     ``backend="remote"`` supervises the chain as **one** remote pipe
-    over the whole-pipeline body (the shape
-    :func:`~repro.coexpr.patterns.pipeline` ships to the server): a
-    per-stage chain of supervisors cannot replay, because every stage
-    above a reconnected one would have to be rebuilt too.  The single
-    supervisor uses ``"replay"`` restarts — a lost connection
-    reconnects, the server re-expands the pipeline, and
-    already-delivered results are skipped, so the consumer sees the
-    uninterrupted sequence.  (A per-stage *fault_plan* does not apply in
-    this shape; inject faults in the stage functions or kill server
-    sessions instead.)
+    over the whole-pipeline body (the shape ``pipeline`` ships to the
+    server): a per-stage chain of supervisors cannot replay, because
+    every stage above a reconnected one would have to be rebuilt too.
+    That body replays — a lost connection reconnects, the server
+    re-expands the pipeline, and already-delivered results are skipped,
+    so the consumer sees the uninterrupted sequence.  (A per-stage
+    *fault_plan* does not apply in this shape; inject faults in the
+    stage functions or kill server sessions instead.)
     """
     options = options_from(options, knobs)
-    supervision = {
-        "max_retries": max_retries,
-        "backoff": backoff,
-        "scheduler": scheduler,
-        "sleep": sleep,
-        "options": options,
-    }
-    chain = _whole_chain(source, stages, options)
-    if chain is not None:
-        return SupervisedPipe(chain, restart="replay", **supervision)
-    current: Any = source_pipe(source, scheduler=scheduler, options=options)
-    for index, fn in enumerate(stages, start=1):
-        current = supervised_stage(
-            fn,
-            current,
-            fault_plan=fault_plan,
-            stage_key=index,
-            name=f"stage-{index}:{getattr(fn, '__name__', 'fn')}",
-            **supervision,
+    whole = _whole_chain(source, stages, options) is not None
+    if not whole:
+        stages = tuple(
+            _StageRun(fn, fault_plan, index, f"stage-{index}:{getattr(fn, '__name__', 'fn')}")
+            for index, fn in enumerate(stages, start=1)
         )
-    return current
+    piped = link = pipeline(source, *stages, scheduler=scheduler, options=options)
+    # Each stage pipe links to the one above it through ``upstream``;
+    # the top links are the stages (or the one whole-chain pipe).
+    for _ in range(1 if whole else len(stages)):
+        link = _supervised(link, max_retries, backoff, sleep).upstream
+    return piped

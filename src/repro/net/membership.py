@@ -215,6 +215,9 @@ class HealthProber:
         self._lock = threading.Lock()
         self._conns: dict[tuple, SocketFramer] = {}
         self._misses: dict[tuple, int] = {}
+        #: One ping/pong exchange in flight per address: two callers on
+        #: one cached socket would read each other's pongs.
+        self._exchanges: dict[tuple, threading.Lock] = {}
 
     def _drop(self, address: tuple) -> None:
         with self._lock:
@@ -224,38 +227,41 @@ class HealthProber:
 
     def probe(self, address: tuple) -> bool:
         """One ping; True on pong (or busy — shedding is alive)."""
-        for _ in range(2):  # a cached socket may be stale: one redial
-            with self._lock:
-                framer = self._conns.get(address)
-            if framer is None:
-                try:
-                    framer = _dial_control(address, self.timeout)
-                except OSError:
-                    return False
+        with self._lock:
+            exchange = self._exchanges.setdefault(address, threading.Lock())
+        with exchange:
+            for _ in range(2):  # a cached socket may be stale: one redial
                 with self._lock:
-                    self._conns[address] = framer
-            nonce = next(self._nonces)
-            try:
-                framer.sock.settimeout(self.timeout)
-                framer.send((WIRE_PING, nonce))
-                while True:
-                    envelope = framer.recv()
-                    if envelope[0] == WIRE_BUSY:
-                        return True
-                    if envelope[0] == WIRE_PONG and (
-                        len(envelope) < 2 or envelope[1] == nonce
-                    ):
-                        return True
-                    # Stray envelope (an older pong): keep reading.
-            except (socket.timeout, TimeoutError):
-                # A live TCP path with a silent server — the wedged-
-                # replica case.  No redial: the next round retries.
-                self._drop(address)
-                return False
-            except (OSError, EOFError, FrameError):
-                self._drop(address)
-                continue
-        return False
+                    framer = self._conns.get(address)
+                if framer is None:
+                    try:
+                        framer = _dial_control(address, self.timeout)
+                    except OSError:
+                        return False
+                    with self._lock:
+                        self._conns[address] = framer
+                nonce = next(self._nonces)
+                try:
+                    framer.sock.settimeout(self.timeout)
+                    framer.send((WIRE_PING, nonce))
+                    while True:
+                        envelope = framer.recv()
+                        if envelope[0] == WIRE_BUSY:
+                            return True
+                        if envelope[0] == WIRE_PONG and (
+                            len(envelope) < 2 or envelope[1] == nonce
+                        ):
+                            return True
+                        # Stray envelope (an older pong): keep reading.
+                except (socket.timeout, TimeoutError):
+                    # A live TCP path with a silent server — the wedged-
+                    # replica case.  No redial: the next round retries.
+                    self._drop(address)
+                    return False
+                except (OSError, EOFError, FrameError):
+                    self._drop(address)
+                    continue
+            return False
 
     def record(self, address: tuple, alive: bool) -> int:
         """Update the consecutive-miss counter; returns its new value."""

@@ -374,7 +374,6 @@ class TestSupervisedRecovery:
             max_retries=2,
             backend="process",
             heartbeat_interval=0.05,
-            restart="replay",
         )
         assert list(supervised.iterate()) == [0, 1, 2, 3, 4, 5]
         assert supervised.failures == 1
@@ -397,7 +396,6 @@ class TestSupervisedRecovery:
             max_retries=2,
             backend="process",
             heartbeat_interval=0.05,
-            restart="replay",
         )
         with pytest.raises(RetryExhaustedError) as info:
             list(supervised.iterate())

@@ -1,5 +1,6 @@
 """The supervision layer: deadlines, retry/backoff, cancellation, leaks."""
 
+import sys
 import threading
 import time
 
@@ -15,13 +16,13 @@ from repro.coexpr.channel import Channel
 from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.future import MVar
 from repro.coexpr.pipe import Pipe
-from repro.coexpr.patterns import pipeline, source_pipe
+from repro.coexpr.calculus import refresh
+from repro.coexpr.patterns import fan_out, pipeline, source_pipe
 from repro.coexpr.scheduler import PipeScheduler
 from repro.coexpr.supervision import (
     NO_BACKOFF,
     BackoffPolicy,
     FaultPlan,
-    SupervisedPipe,
     supervise,
     supervised_pipeline,
     supervised_stage,
@@ -173,7 +174,126 @@ class TestSupervisedSource:
         assert sp.take() is FAIL
 
 
+def _crashing_source(crashes, count):
+    """A deterministic source factory over range(count): run *k* raises
+    at ``crashes[k-1]``, and every run after the last crash is clean."""
+    runs = {"n": 0}
+
+    def flaky():
+        runs["n"] += 1
+        crash_at = crashes[runs["n"] - 1] if runs["n"] <= len(crashes) else None
+
+        def gen():
+            for i in range(count):
+                if i == crash_at:
+                    raise RuntimeError("mid-stream crash")
+                yield i
+
+        return gen()
+
+    return flaky
+
+
+class TestOneRestartRule:
+    """A supervised pipe is a Pipe, and its restart is Pipe's own."""
+
+    def test_refresh_of_a_supervised_pipe(self):
+        sp = supervise(lambda: iter(range(5)), sleep=lambda d: None)
+        assert sp.take() == 0
+        fresh = refresh(sp)  # ^sp
+        assert isinstance(sp, Pipe) and sp.icon_type() == "pipe"
+        assert fresh is not sp
+        assert fresh.options is sp.options
+        assert fresh._policy is sp._policy
+        assert fresh.failures == 0
+        assert list(fresh) == [0, 1, 2, 3, 4]
+        sp.cancel(join=True, timeout=2)
+
+    @pytest.mark.parametrize(
+        "crashes, consumers", [((10,), 2), ((5, 15, 25), 4)], ids=["one", "stress"]
+    )
+    def test_fan_out_over_a_supervised_pipe(self, crashes, consumers, pipe_scheduler):
+        # Competing consumers share the supervised pipe's channel; a
+        # restart's replay must not hand any of them a value twice.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sp = supervise(
+                _crashing_source(crashes, 30), backoff=NO_BACKOFF, sleep=lambda d: None
+            )
+            outs = fan_out(sp, consumers)
+            got = [[] for _ in outs]
+            threads = [
+                threading.Thread(target=lambda i=i: got[i].extend(outs[i]))
+                for i in range(consumers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(sum(got, [])) == list(range(30))  # each value once
+        assert sp.failures == len(crashes)
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
+
+    def test_stage_over_an_iterable_keeps_the_shared_snapshot(self, pipe_scheduler):
+        plan = FaultPlan().fail_stage("s", on_attempts=(1,))
+        mid = supervised_stage(
+            lambda x: x,
+            [1, 2, 3, 4],
+            sleep=lambda d: None,
+            fault_plan=plan,
+            stage_key="s",
+        )
+        assert list(mid) == [1, 2, 3, 4]
+        assert mid.failures == 1
+        assert plan.attempts("s") == 2
+
+
 class TestSupervisedPipeline:
+    def test_source_failure_reaches_the_consumer(self, pipe_scheduler):
+        # The source's own error is not a crash of the stage: the stage
+        # passes it on, instead of restarting over a dead upstream and
+        # reading its end as the end of the stream.
+        def src():
+            for i in range(10):
+                if i == 5:
+                    raise RuntimeError("source died")
+                yield i
+
+        chain = supervised_pipeline(src, lambda x: x * 10, max_retries=3)
+        got = []
+        with pytest.raises(RuntimeError, match="source died"):
+            for value in chain:
+                got.append(value)
+        assert got == [0, 10, 20, 30, 40]
+        assert chain.failures == 0
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
+
+    def test_exhausted_stage_reaches_the_consumer(self, pipe_scheduler):
+        plan = FaultPlan().fail_stage(
+            1, on_attempts=(1, 2, 3, 4, 5), error=OSError, after_items=2
+        )
+        chain = supervised_pipeline(
+            range(100),
+            lambda x: x,
+            lambda x: x * 10,
+            max_retries=2,
+            sleep=lambda d: None,
+            fault_plan=plan,
+        )
+        got = []
+        with pytest.raises(RetryExhaustedError) as info:
+            for value in chain:
+                got.append(value)
+        assert got == [0, 20, 40]  # each attempt loses the item it held
+        assert isinstance(info.value.__cause__, OSError)
+        assert chain.upstream.failures == 3
+        assert chain.failures == 0
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
+
     def test_acceptance_middle_stage_retried(self, pipe_scheduler):
         """The issue's acceptance scenario: the middle stage raises on
         attempts 1 and 2 under supervise(max_retries=3, backoff=...);

@@ -460,6 +460,27 @@ class TestHealthProbing:
             assert _probe(server.address)
             assert first + list(it) == list(range(50))
 
+    def test_concurrent_probes_share_one_connection(self):
+        # Two callers on one prober and one address: each ping/pong is
+        # one exchange, so neither reads the other's pong and misses.
+        prober = HealthProber(timeout=1.0)
+        misses = []
+        try:
+            with GeneratorServer() as server:
+                address = tuple(server.address)
+
+                def probe_many():
+                    misses.append(sum(not prober.probe(address) for _ in range(200)))
+
+                threads = [threading.Thread(target=probe_many) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+        finally:
+            prober.close()
+        assert misses == [0, 0]
+
     def test_prober_counts_consecutive_misses(self):
         prober = HealthProber(timeout=0.2, failures=3)
         try:
