@@ -24,9 +24,10 @@ Three layers, over one producer:
   is the hook :meth:`Pipe.start` calls for ``backend="async"``: the pipe
   keeps its ordinary threaded surface (blocking ``take``, the public
   ``out`` channel) while the worker runs on the shared background loop,
-  multiplexed with every other async worker.  Its sink polls
-  cooperatively: a bounded channel parks the coroutine on a
-  poll-sleep, never the loop.
+  multiplexed with every other async worker.  A full bounded channel
+  parks the coroutine, never the loop, and the consumer's next take
+  wakes it (:meth:`~repro.coexpr.channel.Channel.on_space`): no timer,
+  no poll.
 
 **Refresh is a snapshot.**  ``^c`` on an async pipe follows Prokopec &
 Liu's coroutines-with-snapshots model: the refreshed copy restarts from
@@ -37,9 +38,32 @@ exactly as it replays a threaded one.
 
 **Cooperative caveat.**  ``activate()`` is synchronous, so one
 activation runs to completion on the loop before anything else does;
-the tier multiplexes *between* results, not inside them.  A worker
-yields to the loop after every activation (``await asyncio.sleep(0)``),
-so fairness is per-item.  It batches through the shared rule
+the tier multiplexes *between* results, not inside them.  How often a
+worker yields is the tier's own choice, and it is the event-loop
+server's rule (:data:`_YIELD_SLICE`): the first result is handed over
+at once, then the worker yields once per millisecond of activations,
+or after every item when one activation takes that long.  So fairness
+is per time slice, and a fast body pays the loop round trip once per
+slice, not once per item.
+
+Threads need two more turns, because the loop's yield releases the GIL
+only for a zero-timeout poll.  That is too brief for a thread that waits
+for the GIL to take it, and each release restarts that thread's wait
+for the interpreter's switch interval, so it never asks for the GIL
+either.
+
+* After its first activation the worker also yields the CPU
+  (``os.sched_yield()``), so the consumer thread its first result woke
+  takes it now, not after the body's first slice (on a single core; on
+  more, this is best effort).
+* Once per switch interval (``sys.getswitchinterval()``) it sleeps for
+  real (``time.sleep(0)``, tens of microseconds): the turn the
+  interpreter forces between two threads, given back of the worker's
+  own accord.  Without it a worker streaming into an unbounded channel
+  starves its consumer thread, and every other thread, for as long as
+  the stream runs.
+
+It batches through the shared rule
 (:class:`~repro.coexpr.coalesce.Coalescer`).  Because activations are
 atomic on the loop, a ``max_linger`` bound needs no separate flusher
 thread here: the age check after each activation is this tier's linger
@@ -51,9 +75,12 @@ inside one activation.
 from __future__ import annotations
 
 import asyncio
+import os
+import sys
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, AsyncIterator, Awaitable, Callable, List
 
 from ..errors import ChannelClosedError, PipeDeadlineExceeded, PipeTimeoutError
@@ -67,9 +94,17 @@ from .options import PipeOptions
 from .pipe import _DRAIN_ALL, _UNSET, Pipe
 from .scheduler import WorkerHandle
 
-#: How long a backpressured async worker sleeps before re-checking a
-#: full bounded channel (cooperative backpressure poll slice).
-_BACKPRESSURE_SLICE = 0.005
+#: The one yield rule of the tier's cooperative producers, the async
+#: worker here and the event-loop server's sender (``net/aserver.py``):
+#: a producer hands its first result over at once, then yields the loop
+#: once this many seconds of activations have run since its last yield.
+#: Fast bodies amortize the loop round trip over many items, while a
+#: slow activation still yields after every item — so every other task
+#: on the loop waits at most this long plus one activation.
+_YIELD_SLICE = 0.001
+#: Give the CPU to another runnable thread (a no-op where the platform
+#: has no ``sched_yield``).
+_yield_cpu = getattr(os, "sched_yield", lambda: None)
 
 # ---------------------------------------------------------------------------
 # The shared background event loop.
@@ -103,6 +138,13 @@ def event_loop() -> asyncio.AbstractEventLoop:
         ready.wait()
         _loop = loop
         return loop
+
+
+def _wake(woken: asyncio.Future) -> None:
+    """Resolve a parked producer's future (on the loop; it may have been
+    cancelled with its task meanwhile)."""
+    if not woken.done():
+        woken.set_result(None)
 
 
 async def _cond_wait(
@@ -477,16 +519,21 @@ class AsyncWorker:
         """Move *items* into the pipe's (threading) channel without ever
         blocking the loop: this worker is the channel's only producer,
         so free space observed under the lock cannot shrink before the
-        zero-timeout put lands."""
+        zero-timeout put lands.  On a full channel the coroutine parks
+        on a future that the consumer's next take (or the close) wakes
+        through :meth:`Channel.on_space <repro.coexpr.channel.Channel.on_space>`."""
         out = self.pipe.out
         sent = 0
         while sent < len(items):
             if out.capacity:
                 free = out.capacity - len(out)
                 if free <= 0:
-                    if self.pipe._cancelled:
+                    if out.closed:
                         raise ChannelClosedError("consumer cancelled")
-                    await asyncio.sleep(_BACKPRESSURE_SLICE)
+                    loop = asyncio.get_running_loop()
+                    woken = loop.create_future()
+                    if out.on_space(partial(loop.call_soon_threadsafe, _wake, woken)):
+                        await woken
                     continue
                 chunk = items[sent : sent + free]
             else:
@@ -515,6 +562,9 @@ class AsyncWorker:
         deadline = pipe.deadline
         batch = pipe.batch
         coalescer = pipe._coalescer
+        first = True
+        last_yield = last_handoff = time.monotonic()
+        switch_interval = sys.getswitchinterval()
         try:
             while not pipe._cancelled:
                 if deadline is not None and deadline.expired():
@@ -522,16 +572,25 @@ class AsyncWorker:
                 value = coexpr.activate()
                 if value is FAIL:
                     break
+                now = time.monotonic()
                 if batch == 1:
                     await deliver([value])
-                else:
-                    now = time.monotonic()
-                    # Activations are atomic on the loop, so this
-                    # post-activation age check is the linger flusher
-                    # (see the module docstring's cooperative caveat).
-                    if coalescer.append(value, now) or coalescer.due_in(now) == 0:
-                        await self._flush(deliver)
-                await asyncio.sleep(0)  # per-item fairness across workers
+                # Activations are atomic on the loop, so this
+                # post-activation age check is the linger flusher (see
+                # the module docstring's cooperative caveat).
+                elif coalescer.append(value, now) or coalescer.due_in(now) == 0:
+                    await self._flush(deliver)
+                # The yield rule and its two thread turns: see the module
+                # docstring's cooperative caveat.
+                if first or now - last_yield >= _YIELD_SLICE:
+                    await asyncio.sleep(0)
+                    if first:
+                        _yield_cpu()
+                        first = False
+                    last_yield = time.monotonic()
+                    if last_yield - last_handoff >= switch_interval:
+                        time.sleep(0)
+                        last_handoff = last_yield
             if coalescer:  # flush-on-exhaustion: no result is stranded
                 await self._flush(deliver)
         except ChannelClosedError:

@@ -30,6 +30,12 @@ has been notified but has not yet run is not notified again, so a
 producer that keeps putting while its consumer waits for the GIL pays
 one notify per sleep, not one per item.  A :meth:`take_many` with no
 error queued drains the whole queue in one copy.
+
+A producer that must not block a thread — the async tier's coroutine,
+which shares its loop with every other async pipe — parks on a full
+channel with :meth:`Channel.on_space` instead: a one-shot callback,
+counted among the sleeping putters, that the next take (or the close)
+runs on the branch that would have notified a sleeping thread.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ChannelClosedError, PipeTimeoutError
 
@@ -130,6 +136,9 @@ class Channel:
         self._woken = 0
         self._putters = 0
         self._envelopes = 0
+        #: One-shot callbacks of producers parked by on_space, each
+        #: also counted in _putters.
+        self._space_waiters: list = []
         #: Items taken so far, error envelopes excluded (changes only
         #: under _lock, so it is exact with any number of consumers).
         self.taken = 0
@@ -168,6 +177,16 @@ class Channel:
         finally:
             self._putters -= 1
 
+    def _space_freed(self) -> None:
+        """Run the parked producers' callbacks once; caller holds
+        ``_lock`` and found ``_putters`` non-zero."""
+        waiters = self._space_waiters
+        if waiters:
+            self._space_waiters = []
+            self._putters -= len(waiters)
+            for callback in waiters:
+                callback()
+
     def _popleft(self) -> Any:
         """Dequeue the head (an item or an envelope); caller holds
         ``_lock`` and has checked the queue is non-empty."""
@@ -178,6 +197,7 @@ class Channel:
             self.taken += 1
         if self._putters:
             self._not_full.notify()
+            self._space_freed()
         return item
 
     # -- producer side -------------------------------------------------------
@@ -249,6 +269,18 @@ class Channel:
                 if sent >= len(batch):
                     return sent
 
+    def on_space(self, callback: Callable[[], Any]) -> bool:
+        """Park a producer that cannot block: register *callback* to run
+        once, under the channel lock, when a take frees space in this
+        full bounded channel or the channel closes.  Returns False, and
+        registers nothing, when the channel has space or is closed."""
+        with self._lock:
+            if self._closed or not self.capacity or len(self._items) < self.capacity:
+                return False
+            self._space_waiters.append(callback)
+            self._putters += 1
+            return True
+
     def put_error(self, error: BaseException) -> None:
         """Enqueue an exception to re-raise at the consumer.
 
@@ -274,7 +306,9 @@ class Channel:
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
+            if self._putters:
+                self._not_full.notify_all()
+                self._space_freed()
 
     # -- consumer side -------------------------------------------------------
 
@@ -338,6 +372,7 @@ class Channel:
             self.taken += len(batch)
             if self._putters:
                 self._not_full.notify(len(batch))
+                self._space_freed()
         return batch
 
     def poll(self) -> Any:

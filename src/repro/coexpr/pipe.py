@@ -76,7 +76,7 @@ from ..errors import (
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
-from .channel import CLOSED, Channel
+from .channel import CLOSED, Channel, deadline_of, deadline_wait
 from .coalesce import Coalescer
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline
@@ -202,6 +202,8 @@ class Pipe(IconIterator):
         "_failures",
         "_delivered",
         "_wake",
+        "_settled",
+        "_gave_up",
     )
 
     def __init__(
@@ -254,6 +256,12 @@ class Pipe(IconIterator):
         self._delivered = 0
         #: Set by cancel() to cut a backoff wait short.
         self._wake: threading.Event | None = None
+        #: Over _start_lock, made by the first consumer that waits for
+        #: another's restart (_restarted_from); notified when a crash's
+        #: recovery ends and when the pipe is cancelled.
+        self._settled: threading.Condition | None = None
+        #: True once a recovery raised instead of restarting.
+        self._gave_up = False
         self._setup(coexpr_of(expr), options, Channel(options.capacity))
 
     def _setup(self, coexpr: CoExpression, options: PipeOptions, out: Channel) -> None:
@@ -547,13 +555,15 @@ class Pipe(IconIterator):
         while True:
             try:
                 self.start()
+                out = self.out
                 if many:
-                    item = self.out.take_many(
-                        self.batch if self.batch > 1 else _DRAIN_ALL, timeout
-                    )
+                    item = out.take_many(self.batch if self.batch > 1 else _DRAIN_ALL, timeout)
                 else:
-                    item = self.out.take(timeout)
-                break
+                    item = out.take(timeout)
+                if item is not CLOSED or self._policy is None:
+                    break
+                if not self._restarted_from(out, timeout):
+                    break  # the end of the stream
             except PipeDeadlineExceeded:
                 # The producer's own expiry envelope (or a start-time
                 # short-circuit): already the right error — tear down and
@@ -585,10 +595,19 @@ class Pipe(IconIterator):
         policy = self._policy
         passing = isinstance(error, UpstreamFailure)
         if policy is not None:
-            if not passing and isinstance(error, policy.retry_on):
-                self._restart(error)
-                return
-            self._cancel_upstream()
+            restarted = False
+            try:
+                if not passing and isinstance(error, policy.retry_on):
+                    self._restart(error)
+                    restarted = True
+                    return
+                self._cancel_upstream()
+            finally:
+                with self._start_lock:
+                    if not restarted:
+                        self._gave_up = True
+                    if self._settled is not None:
+                        self._settled.notify_all()
         if passing:
             error = error.error
             raise error from error.__cause__
@@ -650,6 +669,26 @@ class Pipe(IconIterator):
             out.close()
             coexpr.close()
 
+    def _restarted_from(self, out: Channel, timeout: float | None) -> bool:
+        """A policy pipe's take found *out* closed: whether a restart
+        replaced it, so the take goes on from the next incarnation.
+
+        The consumer that takes a crashed incarnation's error restarts
+        the producer.  Any other consumer of the pipe (a fan-out) then
+        finds that incarnation's channel closed, and waits for the
+        restart, or for the recovery to give up, instead of reading the
+        end of the stream.  A clean end returns at once."""
+        # _errored first: _setup replaces out before it clears _errored.
+        if not self._errored and self.out is out:
+            return False
+        deadline = deadline_of(timeout)
+        with self._start_lock:
+            if self._settled is None:
+                self._settled = threading.Condition(self._start_lock)
+            while self.out is out and not (self._cancelled or self._gave_up):
+                deadline_wait(self._settled, deadline, "Pipe.take")
+        return self.out is not out
+
     def _queued(self) -> int:
         """Results produced and not yet served: ``out`` plus the drained
         slice this pipe still holds."""
@@ -691,6 +730,8 @@ class Pipe(IconIterator):
             if not self._cancelled:
                 self._cancelled = True
                 first = True
+                if self._settled is not None:
+                    self._settled.notify_all()
         if first:
             self._emit(EventKind.CANCEL)
             self.out.close()

@@ -208,10 +208,17 @@ class ProcessWorker(StreamPump):
         if not self.process.is_alive():
             raise StreamLost(f"child died, exit code {self.process.exitcode}")
 
+    def _silent(self) -> None:
+        # A child that missed its heartbeat is hung: stopped, or stuck
+        # in code that never releases the GIL.  SIGTERM cannot reach a
+        # stopped child, so kill it now; _loss reaps it, and _release
+        # then finds it gone instead of waiting out its graces.
+        self.process.kill()
+
     def _loss(self, reason: str) -> tuple:
         # An EOF can race the child's actual exit: give it a beat so the
-        # exit code is collectable (a still-running child — e.g. a missed
-        # heartbeat — just reports None).
+        # exit code is collectable (a still-running child — one that
+        # broke the protocol — just reports None).
         self.process.join(0.2)
         exitcode = self.process.exitcode
         error = PipeWorkerLost(
@@ -221,7 +228,8 @@ class ProcessWorker(StreamPump):
 
     def _release(self) -> None:
         """Hang up, then reap the child: it exits on its own, or after
-        SIGTERM, or after SIGKILL (which a stopped child needs)."""
+        SIGTERM, or after SIGKILL (a child that missed its heartbeat was
+        killed already)."""
         try:
             # Shut down, not just closed: a sibling's copy of this end
             # must not keep the child waiting for the hang-up.

@@ -199,6 +199,10 @@ class StreamPump:
         """A receive slice passed with nothing; raise :class:`StreamLost`
         if the transport knows the producer is gone."""
 
+    def _silent(self) -> None:
+        """The producer missed its heartbeat deadline, and its loss is
+        about to be reported: a transport that can stop it stops it."""
+
     def _control(self, envelope: tuple) -> None:
         """A kind outside the data path: ``WIRE_QUOTA`` sizes the credit
         grants; any other is a loss unless the transport speaks it."""
@@ -238,6 +242,7 @@ class StreamPump:
                     if time.monotonic() < deadline:
                         self._idle()
                         continue
+                    self._silent()
                     raise StreamLost(f"no heartbeat within {timeout:.2f}s") from None
                 except (EOFError, FrameError, ConnectionResetError) as error:
                     raise StreamLost(

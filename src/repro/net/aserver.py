@@ -45,6 +45,7 @@ import threading
 import time
 from typing import Any
 
+from ..coexpr.aio import _YIELD_SLICE
 from ..coexpr.wire import (
     WIRE_BUSY,
     WIRE_DATA,
@@ -65,12 +66,6 @@ from .server import (
 #: How long the loop thread's graceful drain waits for sessions to
 #: flush + close before cancelling their tasks outright.
 _DRAIN_TIMEOUT = 5.0
-#: A streaming session yields the loop once this many seconds of
-#: activations have run since its last yield: fast bodies amortize the
-#: loop round trip over many items, while a slow activation still
-#: yields after every item — so beats, credit, cancel and linger ticks
-#: wait at most this long plus one activation.
-_YIELD_SLICE = 0.001
 
 
 class _AsyncSession(_SessionRules):
@@ -84,6 +79,9 @@ class _AsyncSession(_SessionRules):
 
     __slots__ = ("reader", "writer", "_wlock", "_credit_wakeup", "_need")
 
+    #: The async tier's one yield rule: a streaming session yields the
+    #: loop once per slice of activations, so beats, credit, cancel and
+    #: linger ticks wait at most a slice plus one activation.
     _yield_slice = _YIELD_SLICE
 
     def __init__(

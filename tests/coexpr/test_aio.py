@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import sys
+import threading
 import time
 
 import pytest
@@ -403,6 +405,69 @@ class TestAsyncBackend:
         refreshed = piped.refresh()
         piped.cancel(join=True, timeout=5.0)
         assert list(refreshed.iterate()) == [0, 1, 2, 3, 4]
+
+
+class TestCooperativeProducer:
+    """The async worker yields the loop by time slice, and a full
+    channel parks it until the consumer's take (or close) wakes it."""
+
+    def test_bounded_stream_is_paced_by_its_consumer(self):
+        # Each time the channel fills, the next take wakes the producer:
+        # no timer sets the pace.
+        started = time.monotonic()
+        piped = Pipe(lambda: counter(2000), backend="async", capacity=2)
+        assert list(piped.iterate()) == list(range(2000))
+        assert time.monotonic() - started < 0.5
+
+    def test_parked_producers_under_contention(self):
+        # More producers and consumers than cores, lock-step channels and
+        # a short switch interval: a lost wakeup would strand a producer
+        # (its consumer's join times out), a double one would duplicate.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pipes = [
+                Pipe(lambda: counter(300), backend="async", capacity=1) for _ in range(4)
+            ]
+            got = [[] for _ in pipes]
+            threads = [
+                threading.Thread(target=lambda i=i: got[i].extend(pipes[i]))
+                for i in range(len(pipes))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == [list(range(300))] * len(pipes)
+
+    def test_endless_producer_leaves_the_loop_to_others(self):
+        def endless():
+            while True:
+                yield 0
+
+        hog = Pipe(endless, backend="async").start()
+        try:
+            assert hog.take() == 0
+            started = time.monotonic()
+            other = Pipe(lambda: counter(3), backend="async")
+            assert other.take(timeout=1.0) == 0
+            assert time.monotonic() - started < 0.05
+            assert list(other.iterate()) == [1, 2]
+        finally:
+            hog.cancel(join=True, timeout=5.0)
+
+    def test_close_wakes_a_producer_parked_on_a_full_channel(self):
+        piped = Pipe(lambda: counter(100), backend="async", capacity=2).start()
+        deadline = time.monotonic() + 5.0
+        while len(piped.out) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.02)  # the producer parks on the full channel
+        piped.out.close()  # the consumer's close, not a cancel
+        assert piped._worker.join(1.0)
+        assert list(piped.iterate()) == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,29 @@ class TestCapacity:
         with pytest.raises(TimeoutError):
             channel.take(timeout=0.05)
 
+    @pytest.mark.parametrize("free", ["take", "take_many", "poll", "close"])
+    def test_on_space_runs_once_when_space_frees(self, free):
+        channel = Channel(capacity=2)
+        woken = []
+        assert not channel.on_space(lambda: woken.append("early"))  # has space
+        channel.put(1)
+        channel.put(2)
+        assert channel.on_space(lambda: woken.append(free))  # parked
+        assert woken == []
+        getattr(channel, free)(*([1] if free == "take_many" else []))
+        assert woken == [free]
+        channel.put_many([3] if free != "close" else [], timeout=0)
+        channel.take()
+        assert woken == [free]  # one-shot
+        assert channel._putters == 0
+
+    def test_on_space_refuses_unbounded_and_closed_channels(self):
+        assert not Channel(capacity=0).on_space(lambda: None)
+        closed = Channel(capacity=1)
+        closed.put(1)
+        closed.close()
+        assert not closed.on_space(lambda: None)
+
     def test_unbounded_never_blocks(self):
         channel = Channel(capacity=0)
         for value in range(10_000):

@@ -32,7 +32,7 @@ from repro.coexpr.pipe import Pipe
 from repro.coexpr import proc
 from repro.coexpr.proc import KILLED_EXIT, default_context, spawn_unsafe_reason
 from repro.coexpr.scheduler import PipeScheduler
-from repro.coexpr.supervision import FaultPlan, supervise
+from repro.coexpr.supervision import NO_BACKOFF, FaultPlan, supervise
 from repro.coexpr.wire import WIRE_CLOSE, WIRE_DATA, SocketFramer
 from repro.monitor import EventKind, Tracer
 
@@ -401,6 +401,34 @@ class TestSupervisedRecovery:
             list(supervised.iterate())
         assert supervised.failures == 3
         assert isinstance(info.value.__cause__, PipeWorkerLost)
+
+    def test_stopped_child_restarts_within_a_second(self, tmp_path):
+        # A child that misses its heartbeat is killed at once, not after
+        # the hang-up grace and SIGTERM's: the restart's join of the
+        # crashed incarnation's pump waits for nothing more.
+        marker = tmp_path / "first-run"
+
+        def body():
+            first = not marker.exists()
+            marker.touch()
+            yield os.getpid()
+            if first:
+                time.sleep(60)
+            yield "next"
+
+        supervised = supervise(
+            body,
+            backend="process",
+            heartbeat_interval=0.05,
+            heartbeat_timeout=0.3,
+            backoff=NO_BACKOFF,
+        )
+        os.kill(supervised.take(), signal.SIGSTOP)
+        stopped = time.monotonic()
+        assert supervised.take() == "next"
+        assert time.monotonic() - stopped < 1.0
+        assert supervised.failures == 1
+        assert supervised.take() is FAIL
 
     def test_state_dir_counters_span_incarnations(self, tmp_path):
         # In-memory attempt counters reset in each forked child; the

@@ -174,9 +174,10 @@ class TestSupervisedSource:
         assert sp.take() is FAIL
 
 
-def _crashing_source(crashes, count):
+def _crashing_source(crashes, count, pace=0.0):
     """A deterministic source factory over range(count): run *k* raises
-    at ``crashes[k-1]``, and every run after the last crash is clean."""
+    at ``crashes[k-1]``, and every run after the last crash is clean.
+    A *pace* sleeps that long before each item."""
     runs = {"n": 0}
 
     def flaky():
@@ -185,6 +186,8 @@ def _crashing_source(crashes, count):
 
         def gen():
             for i in range(count):
+                if pace:
+                    time.sleep(pace)
                 if i == crash_at:
                     raise RuntimeError("mid-stream crash")
                 yield i
@@ -236,6 +239,31 @@ class TestOneRestartRule:
             sys.setswitchinterval(switch)
         assert sorted(sum(got, [])) == list(range(30))  # each value once
         assert sp.failures == len(crashes)
+        assert pipe_scheduler.leaked(join_timeout=2.0) == []
+
+    def test_fan_out_keeps_sharing_after_a_restart(self, pipe_scheduler):
+        # The consumer that takes the crash restarts the pipe; the other
+        # finds the crashed incarnation's channel closed, and must wait
+        # for the restart instead of reading the end of the stream.
+        sp = supervise(
+            _crashing_source((100,), 400, pace=0.0002),
+            backoff=NO_BACKOFF,
+            sleep=lambda d: None,
+        )
+        outs = fan_out(sp, 2)
+        got = [[] for _ in outs]
+        threads = [
+            threading.Thread(target=lambda i=i: got[i].extend(outs[i])) for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert sorted(sum(got, [])) == list(range(400))  # each value once
+        assert sp.failures == 1
+        # Both consumers took until the end of the stream, not one alone.
+        assert all(max(values) >= 350 for values in got), [len(v) for v in got]
         assert pipe_scheduler.leaked(join_timeout=2.0) == []
 
     def test_stage_over_an_iterable_keeps_the_shared_snapshot(self, pipe_scheduler):
